@@ -64,7 +64,7 @@ def _load_json_arg(arg: str):
 
 
 def _emit(data: dict, config: RunConfig) -> None:
-    text = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    text = separate.canonical_json(data)
     if config.output:
         with open(config.output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -84,12 +84,7 @@ def _config_from_args(args) -> RunConfig:
             schedule = [int(x) for x in args.modulus_schedule.split(",") if x.strip()]
         except ValueError as exc:
             raise InputError(f"bad --modulus-schedule: {exc}") from exc
-        if not schedule:
-            raise InputError("--modulus-schedule is empty")
-        if any(m < 2 for m in schedule):
-            raise InputError("schedule moduli must be >= 2")
-        if any(b <= a for a, b in zip(schedule, schedule[1:])):
-            raise InputError("--modulus-schedule must be strictly increasing")
+        schedule = separate._validate_schedule(schedule)
     cap = getattr(args, "element_cap", modgrp.DEFAULT_CAP)
     if cap <= 0:
         raise InputError("--element-cap must be positive")

@@ -388,19 +388,12 @@ class SemiFactorComponent:
         return {
             "S": [list(row) for row in self.S.entries],
             "invariant_factors": list(self.invariant_factors),
-            "quotient_order": _product(self.invariant_factors),
+            "quotient_order": math.prod(self.invariant_factors),
             "representatives": [
                 {"t_s": [str(x) for x in t_s], "witness": w.to_json_dict()}
                 for t_s, w in self.representatives
             ],
         }
-
-
-def _product(xs: Sequence[int]) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,49 @@ def _format_exact(value: Fraction | int) -> str:
     return str(value)
 
 
+def det_int(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix given as rows (lists or
+    tuples), by Bareiss fraction-free elimination."""
+    n = len(rows)
+    a = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def factorize(x: int) -> list[tuple[int, int]]:
+    """Prime factorization of x as (prime, exponent) pairs, primes
+    ascending; empty for x < 2.  Trial division: cost grows with the
+    second-largest prime factor and the square root of the largest."""
+    out = []
+    p = 2
+    while p * p <= x:
+        if x % p == 0:
+            e = 0
+            while x % p == 0:
+                x //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    if x > 1:
+        out.append((x, 1))
+    return out
+
+
 class IntegerMatrix:
     """An immutable matrix with arbitrary-precision integer entries.
 
@@ -226,25 +269,9 @@ class IntegerMatrix:
 
     def det(self) -> int:
         """Exact determinant via Bareiss fraction-free elimination."""
-        n = self.n
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        if not self.is_square:
+            raise DimensionMismatchError(f"matrix is {self.rows}x{self.cols}, not square")
+        return det_int(self.entries)
 
     @property
     def is_unimodular(self) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 
 from .errors import PreconditionError, SingularMatrixError
 from .exactlin import (
@@ -24,6 +24,7 @@ from .exactlin import (
     Polynomial,
     RationalMatrix,
     char_poly,
+    factorize,
     is_squarefree,
     min_poly,
     poly_xgcd,
@@ -140,18 +141,7 @@ def conjugate_decomposition(
 
 
 def euler_phi(d: int) -> int:
-    result = d
-    x = d
-    p = 2
-    while p * p <= x:
-        if x % p == 0:
-            while x % p == 0:
-                x //= p
-            result -= result // p
-        p += 1
-    if x > 1:
-        result -= result // x
-    return result
+    return prod(p ** (e - 1) * (p - 1) for p, e in factorize(d))
 
 
 @lru_cache(maxsize=None)
@@ -196,18 +186,6 @@ def cyclotomic_factorization(f: Polynomial, n: int) -> dict[int, int] | None:
     return factors
 
 
-def _divisors(m: int) -> list[int]:
-    out = []
-    i = 1
-    while i * i <= m:
-        if m % i == 0:
-            out.append(i)
-            if i != m // i:
-                out.append(m // i)
-        i += 1
-    return sorted(out)
-
-
 def torsion_order(g: IntegerMatrix) -> int | None:
     """Least m >= 1 with g^m = I, or None when g has infinite order.
 
@@ -227,10 +205,12 @@ def torsion_order(g: IntegerMatrix) -> int | None:
     eye = IntegerMatrix.identity(n)
     if g ** bound != eye:
         return None
-    for d in _divisors(bound):
-        if g ** d == eye:
-            return d
-    raise AssertionError("unreachable: bound itself is a valid order")
+    # the order divides bound: strip each prime while the power stays trivial
+    order = bound
+    for p, _ in factorize(bound):
+        while order % p == 0 and g ** (order // p) == eye:
+            order //= p
+    return order
 
 
 # ---------------------------------------------------------------------------

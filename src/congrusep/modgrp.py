@@ -29,7 +29,7 @@ from .errors import (
     PreconditionError,
     ResourceError,
 )
-from .exactlin import IntegerMatrix, RationalMatrix
+from .exactlin import IntegerMatrix, RationalMatrix, det_int, factorize
 
 #: Default element budget for closures and orbits.  Exceeding a budget is an
 #: explicit ResourceError, never silent truncation.
@@ -133,17 +133,12 @@ class ModMatrix:
 
     def det(self) -> int:
         """Determinant mod m (via exact integer Bareiss, then reduced)."""
-        d = IntegerMatrix(self.to_lists()).det()
-        return d % self.m
+        return det_int(self.to_lists()) % self.m
 
     def inverse(self) -> "ModMatrix":
-        """Inverse mod m via the integral adjugate and the det's unit inverse."""
-        n, m = self.n, self.m
-        mat = IntegerMatrix(self.to_lists())
-        d = mat.det()
-        d_inv = pow(d % m, -1, m)
-        adj = _adjugate(mat)
-        return ModMatrix(n, m, [d_inv * x for row in adj.entries for x in row])
+        """Inverse mod m: the reduction of the rational inverse of the
+        residue matrix, whose denominators divide its det, a unit mod m."""
+        return reduce(IntegerMatrix(self.to_lists()).inverse(), self.m)
 
     def __pow__(self, exponent: int) -> "ModMatrix":
         if exponent < 0:
@@ -171,23 +166,6 @@ class ModMatrix:
         if self.m % m_new != 0:
             raise InputError(f"{m_new} does not divide modulus {self.m}")
         return ModMatrix(self.n, m_new, self.entries)
-
-
-def _adjugate(a: IntegerMatrix) -> IntegerMatrix:
-    n = a.n
-    if n == 1:
-        return IntegerMatrix([[1]])
-    cof = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [a.entries[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            sign = -1 if (i + j) % 2 else 1
-            cof[j][i] = sign * IntegerMatrix(minor).det()
-    return IntegerMatrix(cof)
 
 
 def elements_digest(elements: Iterable[ModMatrix]) -> str:
@@ -285,7 +263,10 @@ def generate(
     n: int | None = None,
     m: int | None = None,
 ) -> ModMatrixGroup:
-    """Breadth-first closure of gens under products with gens and inverses.
+    """Breadth-first closure of gens under right multiplication by gens.
+
+    Forward generators suffice: in a finite group every g has g^k = g^(-1)
+    for k = ord(g) - 1, so the monoid generated by gens is the group.
 
     ``n`` and ``m`` are required only when gens is empty (trivial group).
     Exceeding ``cap`` elements raises ResourceError carrying the partial size.
@@ -299,11 +280,7 @@ def generate(
     n0, m0 = gens[0].n, gens[0].m
     if any(g.n != n0 or g.m != m0 for g in gens):
         raise DimensionMismatchError("generators must share dimension and modulus")
-    multipliers = []
-    for g in gens:
-        for cand in (g, g.inverse()):
-            if cand not in multipliers:
-                multipliers.append(cand)
+    multipliers = tuple(dict.fromkeys(gens))
     identity = ModMatrix.identity(n0, m0)
     elements = {identity}
     frontier = [identity]
@@ -329,26 +306,9 @@ def generate(
 # ---------------------------------------------------------------------------
 
 
-def _prime_power_factorization(m: int) -> list[tuple[int, int]]:
-    out = []
-    x = m
-    p = 2
-    while p * p <= x:
-        if x % p == 0:
-            e = 0
-            while x % p == 0:
-                x //= p
-                e += 1
-            out.append((p, e))
-        p += 1
-    if x > 1:
-        out.append((x, 1))
-    return out
-
-
 def _multiplicative_order(a: int, modulus: int, group_order: int) -> int:
     order = group_order
-    for p, _ in _prime_power_factorization(group_order):
+    for p, _ in factorize(group_order):
         while order % p == 0 and pow(a, order // p, modulus) == 1:
             order //= p
     return order
@@ -373,7 +333,7 @@ def _local_unit_generators(p: int, e: int) -> list[int]:
 def unit_group_generators(m: int) -> list[int]:
     """Generators of (Z/m)^*, one per cyclic factor, lifted by CRT."""
     out = []
-    for p, e in _prime_power_factorization(m):
+    for p, e in factorize(m):
         q = p**e
         rest = m // q
         for g in _local_unit_generators(p, e):
@@ -411,7 +371,7 @@ def gl_generators(n: int, m: int) -> list[ModMatrix]:
 def gl_order(n: int, m: int) -> int:
     """|GL(n, Z/m)| by the standard prime-power formula."""
     total = 1
-    for p, e in _prime_power_factorization(m):
+    for p, e in factorize(m):
         local = 1
         for i in range(n):
             local *= p**n - p**i
@@ -464,21 +424,20 @@ class ConjClass:
         return data
 
 
-def _conjugator_pairs(n: int, m: int) -> list[tuple[ModMatrix, ModMatrix]]:
-    conjugators = []
-    for t in gl_generators(n, m):
-        for cand in (t, t.inverse()):
-            if cand not in conjugators:
-                conjugators.append(cand)
-    return [(t.inverse(), t) for t in conjugators]
-
-
 def _orbit_expand(
     rep: ModMatrix, cap: int, stop_inside: frozenset[ModMatrix] | None = None
 ) -> tuple[frozenset[ModMatrix], bool]:
-    """BFS conjugation orbit of rep.  With ``stop_inside`` given, aborts as
-    soon as an orbit element lies in that set, returning (partial, True)."""
-    pairs = _conjugator_pairs(rep.n, rep.m)
+    """BFS conjugation orbit of rep under x -> t^(-1) x t for t in
+    ``gl_generators``.  With ``stop_inside`` given, aborts as soon as an
+    orbit element lies in that set, returning (partial, True).
+
+    Forward generators suffice, as in ``generate``: the monoid of these
+    conjugations is all of GL(n, Z/m).  Each t^(-1) is the forward power
+    t^(|GL(n, Z/m)| - 1), by Lagrange's theorem.
+    """
+    n, m = rep.n, rep.m
+    exponent = gl_order(n, m) - 1
+    pairs = [(t**exponent, t) for t in gl_generators(n, m)]
     orbit = {rep}
     if stop_inside is not None and rep in stop_inside:
         return frozenset(orbit), True
@@ -505,8 +464,10 @@ def _orbit_expand(
 def conj_class(rep: ModMatrix, cap: int = DEFAULT_CAP) -> ConjClass:
     """Orbit of ``rep`` under conjugation by all of GL(n, Z/m).
 
-    Computed as the closure under conjugation by a fixed generating set of
-    GL(n, Z/m); exceeding ``cap`` raises ResourceError.
+    Computed as the closure under conjugation by the fixed generating set
+    ``gl_generators(n, m)`` alone, with no inverse conjugators: the group is
+    finite, so closing under forward generators reaches every element.
+    Exceeding ``cap`` raises ResourceError.
     """
     orbit, _ = _orbit_expand(rep, cap)
     return ConjClass(rep, orbit)
@@ -527,7 +488,7 @@ def char_coeffs_mod(x: ModMatrix) -> tuple[int, ...]:
         total = 0
         for subset in itertools.combinations(range(n), k):
             minor = [[rows[i][j] for j in subset] for i in subset]
-            total += _det_int(minor)
+            total += det_int(minor)
         out.append(total % m)
     return tuple(out)
 
@@ -535,17 +496,6 @@ def char_coeffs_mod(x: ModMatrix) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # finite-level images of p-adic closures
 # ---------------------------------------------------------------------------
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def padic_level_image(
@@ -562,7 +512,7 @@ def padic_level_image(
     the group in GL(n, Z_p): the level-(K+1) image always projects onto the
     level-K image.
     """
-    if not _is_prime(p):
+    if factorize(p) != [(p, 1)]:
         raise InputError(f"{p} is not prime")
     if level < 1:
         raise InputError(f"level must be >= 1, got {level}")
@@ -596,29 +546,6 @@ def semisimple_elements_mod(
 # ---------------------------------------------------------------------------
 # exact mod-m conjugacy decision
 # ---------------------------------------------------------------------------
-
-
-def _det_int(rows: list[list[int]]) -> int:
-    """Exact determinant of a small integer matrix (Bareiss on lists)."""
-    n = len(rows)
-    a = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def _fp_row_basis(vectors: list[list[int]], p: int) -> list[list[int]]:
@@ -701,7 +628,7 @@ def _conjugate_mod_prime_power(
                     for idx in range(nn):
                         vec[idx] = (vec[idx] + c * basis_vec[idx]) % p
             rows = [vec[i * n : (i + 1) * n] for i in range(n)]
-            if _det_int(rows) % p != 0:
+            if det_int(rows) % p != 0:
                 return True
     return False
 
@@ -723,7 +650,7 @@ def is_conjugate_mod(
         raise InputError(f"modulus must be >= 2, got {m}")
     if a == b:
         return True
-    for p, e in _prime_power_factorization(m):
+    for p, e in factorize(m):
         if not _conjugate_mod_prime_power(a, b, p, e, budget):
             return False
     return True

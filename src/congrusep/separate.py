@@ -35,7 +35,7 @@ from .errors import (
     PreconditionError,
     ScheduleExhaustedError,
 )
-from .exactlin import IntegerMatrix, RationalMatrix
+from .exactlin import IntegerMatrix, RationalMatrix, det_int, factorize
 from .jordan import is_semisimple, torsion_order
 
 CERT_VERSION = 1
@@ -214,9 +214,14 @@ class WitnessPrime:
         }
 
 
-def dump_certificate(cert: SeparationCertificate | TorsionFreeCertificate) -> str:
+def canonical_json(data) -> str:
     """Canonical JSON text (sorted keys, no whitespace, trailing newline)."""
-    return json.dumps(cert.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def dump_certificate(cert: SeparationCertificate | TorsionFreeCertificate) -> str:
+    """The certificate as canonical JSON text."""
+    return canonical_json(cert.to_json_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +331,7 @@ def witness_prime(
         raise InputError("prime schedule is empty")
     denom = factor.denominator_lcm()
     if denom > 1:
-        p = min(p for p, _ in _factorize(denom))
+        p = factorize(denom)[0][0]
         return WitnessPrime(factor=factor, prime=p, level=0, reason="denominator")
     n = factor.n
     _check_gl_generators(gamma_gens, n)
@@ -343,22 +348,6 @@ def witness_prime(
         f"no witness prime at levels <= {level_budget} for primes {primes}",
         largest_tried=levels[-1][0],
     )
-
-
-def _factorize(x: int) -> list[tuple[int, int]]:
-    out = []
-    p = 2
-    while p * p <= x:
-        if x % p == 0:
-            e = 0
-            while x % p == 0:
-                x //= p
-                e += 1
-            out.append((p, e))
-        p += 1
-    if x > 1:
-        out.append((x, 1))
-    return out
 
 
 def torsion_free_overgroup(
@@ -725,7 +714,7 @@ def validate_torsion_table(
     values = range(-bound, bound + 1)
     for flat in itertools.product(values, repeat=n * n):
         rows = [flat[i * n : (i + 1) * n] for i in range(n)]
-        if _det_rows(rows) not in (1, -1):
+        if det_int(rows) not in (1, -1):
             continue
         # torsion forces every eigenvalue onto the unit circle: |tr g^k| <= n
         trace = sum(rows[i][i] for i in range(n))
@@ -747,14 +736,3 @@ def validate_torsion_table(
             unmatched.append(g)
     return unmatched
 
-
-def _det_rows(rows: Sequence[Sequence[int]]) -> int:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return IntegerMatrix(rows).det()

@@ -16,6 +16,8 @@ from congrusep.exactlin import (
     Polynomial,
     RationalMatrix,
     char_poly,
+    det_int,
+    factorize,
     is_squarefree,
     kernel_and_image,
     lattice_basis,
@@ -83,6 +85,45 @@ def test_random_unimodular_inverse_roundtrip():
         n = rng.choice([2, 3, 4])
         g = random_gl_element(rng, n).to_rational()
         assert g * g.inverse() == RationalMatrix.identity(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-20, 20), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_det_int_matches_rational_det(rows):
+    expected = RationalMatrix(rows).det()
+    assert det_int(rows) == expected
+    assert det_int([tuple(row) for row in rows]) == expected
+    assert IntegerMatrix(rows).det() == expected
+
+
+def test_det_int_edge_cases():
+    assert det_int([[7]]) == 7
+    assert det_int(((-3,),)) == -3
+    # zero leading pivot forces a row swap
+    assert det_int([[0, 1], [1, 0]]) == -1
+    assert det_int(((0, 2, 1), (1, 0, 0), (0, 1, 3))) == -5
+    assert det_int([[0, 1], [0, 2]]) == 0
+
+
+def test_factorize_multiplies_back():
+    assert factorize(1) == []
+    for x in range(1, 10**4 + 1):
+        pairs = factorize(x)
+        primes = [p for p, _ in pairs]
+        assert primes == sorted(set(primes))
+        assert all(e >= 1 and factorize(p) == [(p, 1)] for p, e in pairs)
+        prod = 1
+        for p, e in pairs:
+            prod *= p**e
+        assert prod == x
 
 
 def test_integer_matrix_rejects_nonints():

@@ -25,7 +25,12 @@ from congrusep.modgrp import (
     semisimple_elements_mod,
     unit_group_generators,
 )
-from helpers import brute_force_closure, brute_force_gl, random_gl_element
+from helpers import (
+    brute_force_closure,
+    brute_force_gl,
+    mat_mul_mod,
+    random_gl_element,
+)
 
 U = IntegerMatrix([[1, 1], [0, 1]])
 L = IntegerMatrix([[1, 0], [1, 1]])
@@ -78,6 +83,13 @@ def test_mod_matrix_inverse():
     assert x * x.inverse() == ModMatrix.identity(2, 9)
     y = reduce(IntegerMatrix([[2, 3], [3, 2]]), 6)  # det = -5, unit mod 6
     assert y * y.inverse() == ModMatrix.identity(2, 6)
+    rng = random.Random(0x1417)
+    for m in (4, 8, 12, 35):
+        eye = ModMatrix.identity(3, m)
+        for _ in range(5):
+            x = reduce(random_gl_element(rng, 3), m)
+            assert x * x.inverse() == eye == x.inverse() * x
+            assert x ** -3 * x ** 3 == eye
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +222,17 @@ def test_orbit_sizes_divide_group_order():
     rng = random.Random(0x0B17)
     for m in (2, 3, 4, 5):
         order = gl_order(2, m)
+        gl = brute_force_gl(2, m)
         for _ in range(5):
             rep = reduce(random_gl_element(rng, 2), m)
             cls = conj_class(rep)
             assert order % cls.size == 0
+            # orbit-stabilizer against a brute-force centralizer count
+            x = rep.entries
+            centralizer = sum(
+                1 for g in gl if mat_mul_mod(g, x, 2, m) == mat_mul_mod(x, g, 2, m)
+            )
+            assert cls.size * centralizer == order
 
 
 def test_conjugate_reduction_lands_in_class():
