@@ -28,6 +28,7 @@ from .errors import (
     DimensionMismatchError,
     InputError,
     PreconditionError,
+    ResourceError,
     SingularMatrixError,
 )
 
@@ -95,20 +96,62 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+#: Trial division stops at this prime bound; a cofactor left over must then
+#: be certified prime by a deterministic Miller-Rabin test.
+_TRIAL_DIVISION_BOUND = 2**20
+
+#: Strong probable-prime bases that make Miller-Rabin deterministic below
+#: _MILLER_RABIN_LIMIT (Sorenson and Webster, 2015).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime_miller_rabin(x: int) -> bool:
+    """Deterministic Miller-Rabin for odd 41 < x < _MILLER_RABIN_LIMIT."""
+    d, s = x - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        y = pow(a, d, x)
+        if y == 1 or y == x - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % x
+            if y == x - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def factorize(x: int) -> list[tuple[int, int]]:
     """Prime factorization of x as (prime, exponent) pairs, primes
-    ascending; empty for x < 2.  Trial division: cost grows with the
-    second-largest prime factor and the square root of the largest."""
+    ascending; empty for x < 2.
+
+    Trial division by 2 and the odd numbers up to _TRIAL_DIVISION_BOUND; a
+    cofactor left with no factor below that bound is accepted as prime only
+    if deterministic Miller-Rabin certifies it.  Anything else (a product of
+    large primes, or a cofactor beyond the deterministic range) raises
+    ResourceError, so the cost is bounded for every x.
+    """
     out = []
     p = 2
     while p * p <= x:
+        if p > _TRIAL_DIVISION_BOUND:
+            if x < _MILLER_RABIN_LIMIT and _is_prime_miller_rabin(x):
+                break
+            raise ResourceError(
+                f"cannot factor {x}: no prime factor up to"
+                f" {_TRIAL_DIVISION_BOUND} and not certifiably prime"
+            )
         if x % p == 0:
             e = 0
             while x % p == 0:
                 x //= p
                 e += 1
             out.append((p, e))
-        p += 1
+        p += 1 if p == 2 else 2
     if x > 1:
         out.append((x, 1))
     return out

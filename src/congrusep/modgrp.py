@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -78,8 +78,8 @@ class ModMatrix:
 
     @classmethod
     def _raw(cls, n: int, m: int, entries: tuple[int, ...]) -> "ModMatrix":
-        # fast path for internal products: entries already reduced, and
-        # invertibility is inherited (products of units are units)
+        # fast path for internal products and conjugates: entries already
+        # reduced, and invertibility is inherited (products of units are units)
         obj = object.__new__(cls)
         object.__setattr__(obj, "n", n)
         object.__setattr__(obj, "m", m)
@@ -424,6 +424,47 @@ class ConjClass:
         return data
 
 
+def _conjugation_by(t: ModMatrix) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The map x -> t^(-1) x t on flat entry tuples, for an elementary t.
+
+    Every generator from ``gl_generators`` differs from the identity in one
+    entry (i, j).  For a transvection E_ij(1) the conjugate is x with column
+    i added to column j, then row j subtracted from row i; for diag(u, 1,
+    ...) it is x with column i scaled by u and row i by u^(-1).  Either way
+    O(n) entry operations mod m, never a matrix product.
+    """
+    n, m = t.n, t.m
+    identity = ModMatrix.identity(n, m).entries
+    ((k, a),) = [(k, v) for k, v in enumerate(t.entries) if v != identity[k]]
+    i, j = divmod(k, n)
+    if i != j:
+        cols = tuple((r * n + j, r * n + i) for r in range(n))
+        rows = tuple((i * n + c, j * n + c) for c in range(n))
+
+        def transvect(x: tuple[int, ...]) -> tuple[int, ...]:
+            y = list(x)
+            for dst, src in cols:
+                y[dst] = (y[dst] + y[src]) % m
+            for dst, src in rows:
+                y[dst] = (y[dst] - y[src]) % m
+            return tuple(y)
+
+        return transvect
+    a_inv = pow(a, -1, m)
+    col = tuple(r * n + i for r in range(n) if r != i)
+    row = tuple(i * n + c for c in range(n) if c != i)
+
+    def scale(x: tuple[int, ...]) -> tuple[int, ...]:
+        y = list(x)
+        for dst in col:
+            y[dst] = y[dst] * a % m
+        for dst in row:
+            y[dst] = y[dst] * a_inv % m
+        return tuple(y)
+
+    return scale
+
+
 def _orbit_expand(
     rep: ModMatrix, cap: int, stop_inside: frozenset[ModMatrix] | None = None
 ) -> tuple[frozenset[ModMatrix], bool]:
@@ -432,25 +473,32 @@ def _orbit_expand(
     orbit element lies in that set, returning (partial, True).
 
     Forward generators suffice, as in ``generate``: the monoid of these
-    conjugations is all of GL(n, Z/m).  Each t^(-1) is the forward power
-    t^(|GL(n, Z/m)| - 1), by Lagrange's theorem.
+    conjugations is all of GL(n, Z/m).  Each conjugation is a row and a
+    column operation on the entry tuple (``_conjugation_by``), so no t^(-1)
+    is ever formed and no matrix is multiplied; elements stay raw tuples
+    until the result is wrapped once on return.
     """
     n, m = rep.n, rep.m
-    exponent = gl_order(n, m) - 1
-    pairs = [(t**exponent, t) for t in gl_generators(n, m)]
-    orbit = {rep}
-    if stop_inside is not None and rep in stop_inside:
-        return frozenset(orbit), True
-    frontier = [rep]
+    conjugations = [_conjugation_by(t) for t in gl_generators(n, m)]
+    stop = None if stop_inside is None else {x.entries for x in stop_inside}
+
+    def wrap(orbit: set) -> frozenset[ModMatrix]:
+        return frozenset(ModMatrix._raw(n, m, x) for x in orbit)
+
+    start = rep.entries
+    orbit = {start}
+    if stop is not None and start in stop:
+        return wrap(orbit), True
+    frontier = [start]
     while frontier:
         new_frontier = []
         for x in frontier:
-            for t_inv, t in pairs:
-                y = t_inv * x * t
+            for conjugate in conjugations:
+                y = conjugate(x)
                 if y not in orbit:
                     orbit.add(y)
-                    if stop_inside is not None and y in stop_inside:
-                        return frozenset(orbit), True
+                    if stop is not None and y in stop:
+                        return wrap(orbit), True
                     if len(orbit) > cap:
                         raise ResourceError(
                             f"element budget {cap} exceeded while expanding orbit",
@@ -458,7 +506,7 @@ def _orbit_expand(
                         )
                     new_frontier.append(y)
         frontier = new_frontier
-    return frozenset(orbit), False
+    return wrap(orbit), False
 
 
 def conj_class(rep: ModMatrix, cap: int = DEFAULT_CAP) -> ConjClass:
@@ -466,7 +514,10 @@ def conj_class(rep: ModMatrix, cap: int = DEFAULT_CAP) -> ConjClass:
 
     Computed as the closure under conjugation by the fixed generating set
     ``gl_generators(n, m)`` alone, with no inverse conjugators: the group is
-    finite, so closing under forward generators reaches every element.
+    finite, so closing under forward generators reaches every element.  Each
+    conjugation by a generator is one row and one column operation on the
+    entries (a transvection adds a column and subtracts a row; a diagonal
+    unit scales a column and a row), O(n) instead of two matrix products.
     Exceeding ``cap`` raises ResourceError.
     """
     orbit, _ = _orbit_expand(rep, cap)

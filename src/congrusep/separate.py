@@ -415,12 +415,17 @@ def torsion_free_overgroup(
             indexes[m] = _cc_index(images[m])
         return images[m]
 
+    # one probe per distinct reduced representative; a probe that completed
+    # its orbit keeps the class, which then serves as the evidence
+    probes: dict[modgrp.ModMatrix, tuple[bool, modgrp.ConjClass | None]] = {}
     per_rep_moduli = []
     for rep, order in nontrivial:
         for m in schedule:
             image = image_at(m)
             rep_mod = modgrp.reduce(rep, m)
-            disjoint, _ = _probe_disjoint(image, indexes[m], rep_mod, cap)
+            if rep_mod not in probes:
+                probes[rep_mod] = _probe_disjoint(image, indexes[m], rep_mod, cap)
+            disjoint, _ = probes[rep_mod]
             if disjoint:
                 per_rep_moduli.append(m)
                 break
@@ -435,7 +440,11 @@ def torsion_free_overgroup(
     image = image_at(joint)
     evidence = []
     for (rep, order), m_rep in zip(nontrivial, per_rep_moduli):
-        cls = modgrp.conj_class(modgrp.reduce(rep, m_rep), cap)
+        rep_mod = modgrp.reduce(rep, m_rep)
+        _, cls = probes[rep_mod]
+        if cls is None:
+            cls = modgrp.conj_class(rep_mod, cap)
+            probes[rep_mod] = (True, cls)
         if not image_at(m_rep).elements.isdisjoint(cls.orbit):
             raise AssertionError(
                 "per-representative modulus failed re-verification; the"

@@ -63,8 +63,11 @@ def brute_force_gl(n: int, m: int) -> list[tuple]:
     for flat in itertools.product(range(m), repeat=n * n):
         if n == 2:
             det = flat[0] * flat[3] - flat[1] * flat[2]
+        elif n == 3:
+            a, b, c, d, e, f, g, h, i = flat
+            det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
         else:
-            raise NotImplementedError("oracle enumeration only needed for n = 2")
+            raise NotImplementedError("oracle enumeration only needed for n <= 3")
         ok = False
         for k in range(1, m):
             if (det * k) % m == 1:

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 
+from congrusep import modgrp
 from congrusep.cli import main
 
 U_GENS = '[{"n":2,"entries":[["1","1"],["0","1"]]}]'
@@ -89,6 +90,35 @@ def test_avoid_verify_only_tampered(capsys, tmp_path):
     code, _, err = run_cli(["avoid", "--verify-only", str(bad)], capsys)
     assert code == 5
     assert "verification failed" in err
+
+
+def test_avoid_verify_only_semiprime_modulus_is_bounded(tmp_path):
+    # no generators, so only GL(2, Z/m)'s generators need m factored
+    m = 1000000007 * 998244353
+    cert = {
+        "version": 1,
+        "kind": "separation",
+        "n": 2,
+        "m": m,
+        "gamma_gens": [],
+        "eta": json.loads(NEG_I),
+        "image_size": 1,
+        "image_digest": modgrp.elements_digest([modgrp.ModMatrix.identity(2, m)]),
+        "class_size": 1,
+        "class_digest": "0" * 64,
+        "disjoint": True,
+    }
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(cert))
+    assert len(cert_path.read_bytes()) < 500
+    result = subprocess.run(
+        [sys.executable, "-m", "congrusep.cli", "avoid", "--verify-only", str(cert_path)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert result.returncode == 4
+    assert "cannot factor" in result.stderr
 
 
 def test_avoid_verify_only_malformed(capsys, tmp_path):

@@ -23,6 +23,11 @@ NEG_I = IntegerMatrix([[-1, 0], [0, -1]])
 
 HEISENBERG_MOD5 = (125, "df2f7efbea050719d4af21dee5709560f1264b44024e682f8a412720e399e67d")
 
+# the mod-7 class of the order-3 coordinate shift, the class the Heisenberg
+# group <E12, E23> avoids at m = 7
+SHIFT3 = IntegerMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+SHIFT3_CLASS_MOD7 = (156408, "d54d5e4528275f111df30f306b096ccf81f1e7ddaa60e823c3bedc0ac732272d")
+
 FLAGSHIP_CERT_SHA256 = "035e2c70baa353e259bf6f743791cb016892bbfde7609dbccff720dc0b8623cc"
 
 # [order, modulus, class_size, class_digest] per nontrivial n = 3 table entry
@@ -48,6 +53,11 @@ KLEIN_PER_REP = [
 def test_heisenberg_image_mod5_digest():
     image = modgrp.generate([modgrp.reduce(g, 5) for g in (E12, E23)])
     assert (image.size, image.digest()) == HEISENBERG_MOD5
+
+
+def test_shift3_class_mod7_digest():
+    cls = modgrp.conj_class(modgrp.reduce(SHIFT3, 7))
+    assert (cls.size, cls.digest()) == SHIFT3_CLASS_MOD7
 
 
 def test_klein_bottle_per_rep_classes():

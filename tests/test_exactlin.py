@@ -9,6 +9,7 @@ from congrusep.errors import (
     BitBoundExceededError,
     DimensionMismatchError,
     InputError,
+    ResourceError,
     SingularMatrixError,
 )
 from congrusep.exactlin import (
@@ -124,6 +125,19 @@ def test_factorize_multiplies_back():
         for p, e in pairs:
             prod *= p**e
         assert prod == x
+
+
+def test_factorize_is_bounded():
+    p = 1099511627791  # prime, above 2**40: certified by Miller-Rabin
+    assert factorize(p) == [(p, 1)]
+    q = 2**61 - 1
+    assert factorize(12 * q) == [(2, 2), (3, 1), (q, 1)]
+    # two primes above the trial-division bound: refused, not a slow hang
+    with pytest.raises(ResourceError):
+        factorize(1000000007 * 998244353)
+    # a strong pseudoprime to every prime base up to 37; base 41 exposes it
+    with pytest.raises(ResourceError):
+        factorize(399165290221 * 798330580441)
 
 
 def test_integer_matrix_rejects_nonints():

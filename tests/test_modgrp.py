@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from congrusep.errors import (
     DimensionMismatchError,
@@ -12,6 +14,8 @@ from congrusep.errors import (
 from congrusep.exactlin import IntegerMatrix, RationalMatrix
 from congrusep.modgrp import (
     DenominatorNotUnitError,
+    _conjugation_by,
+    _orbit_expand,
     ModMatrix,
     char_coeffs_mod,
     conj_class,
@@ -35,6 +39,8 @@ from helpers import (
 U = IntegerMatrix([[1, 1], [0, 1]])
 L = IntegerMatrix([[1, 0], [1, 1]])
 NEG_I = IntegerMatrix([[-1, 0], [0, -1]])
+E12_3 = IntegerMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+SHIFT3 = IntegerMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +239,65 @@ def test_orbit_sizes_divide_group_order():
                 1 for g in gl if mat_mul_mod(g, x, 2, m) == mat_mul_mod(x, g, 2, m)
             )
             assert cls.size * centralizer == order
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 4]).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sampled_from([2, 3, 4, 8, 12, 35]),
+            st.lists(st.integers(0, 34), min_size=n * n, max_size=n * n),
+        )
+    )
+)
+def test_conjugation_maps_match_matrix_conjugation(case):
+    n, m, flat = case
+    try:
+        x = ModMatrix(n, m, flat)
+    except PreconditionError:
+        assume(False)
+    for t in gl_generators(n, m):
+        assert _conjugation_by(t)(x.entries) == (t.inverse() * x * t).entries
+
+
+def test_orbit_stabilizer_exact_n3():
+    rng = random.Random(0x3D)
+    for m in (2, 3):
+        order = gl_order(3, m)
+        gl = brute_force_gl(3, m)
+        assert len(gl) == order
+        reps = [ModMatrix.identity(3, m), reduce(E12_3, m), reduce(SHIFT3, m)]
+        reps += [reduce(random_gl_element(rng, 3), m) for _ in range(2)]
+        for rep in reps:
+            cls = conj_class(rep)
+            x = rep.entries
+            centralizer = sum(
+                1 for g in gl if mat_mul_mod(g, x, 3, m) == mat_mul_mod(x, g, 3, m)
+            )
+            assert cls.size * centralizer == order, (m, x)
+
+
+def test_orbit_expand_stops_inside():
+    rep = reduce(U, 5)
+    full = conj_class(rep).orbit
+    target = reduce(L, 5)
+    partial, hit = _orbit_expand(rep, 10**6, stop_inside=frozenset([target]))
+    assert hit and target in partial
+    assert rep in partial and partial <= full
+    # the representative itself is checked before any conjugation
+    partial, hit = _orbit_expand(rep, 10**6, stop_inside=frozenset([rep]))
+    assert (partial, hit) == (frozenset([rep]), True)
+    outside = reduce(NEG_I, 5)
+    assert _orbit_expand(rep, 10**6, stop_inside=frozenset([outside])) == (full, False)
+
+
+def test_orbit_expand_budget():
+    rep = reduce(U, 5)
+    assert conj_class(rep).size > 10
+    with pytest.raises(ResourceError) as info:
+        _orbit_expand(rep, 10)
+    assert info.value.partial_size == 11
 
 
 def test_conjugate_reduction_lands_in_class():

@@ -7,6 +7,7 @@ from congrusep.errors import (
     InputError,
     MalformedCertificateError,
     PreconditionError,
+    ResourceError,
     ScheduleExhaustedError,
 )
 from congrusep.exactlin import IntegerMatrix, RationalMatrix
@@ -220,6 +221,13 @@ def test_witness_prime_denominator():
     assert (w.prime, w.level, w.reason) == (2, 0, "denominator")
 
 
+def test_witness_prime_semiprime_denominator_is_bounded():
+    semiprime = 1000000007 * 998244353
+    factor = RationalMatrix([[Fraction(1, semiprime), 0], [0, semiprime]])
+    with pytest.raises(ResourceError):
+        witness_prime(factor, [U])
+
+
 def test_witness_prime_image_escape():
     w = witness_prime(NEG_I.to_rational(), [U])
     assert (w.prime, w.level, w.reason) == (3, 1, "image-escape")
@@ -319,6 +327,21 @@ def test_torsion_free_unipotent_group():
     assert len(cert.per_rep) == 6  # identity carries no evidence
     assert all(e.disjoint for e in cert.per_rep)
     assert all(cert.m % e.modulus == 0 for e in cert.per_rep)
+    assert verify_certificate(cert)
+
+
+def test_torsion_free_expands_each_reduced_rep_once(monkeypatch):
+    expanded = []
+    orbit_expand = modgrp._orbit_expand
+
+    def recording(rep, cap, stop_inside=None):
+        expanded.append(rep)
+        return orbit_expand(rep, cap, stop_inside=stop_inside)
+
+    monkeypatch.setattr(modgrp, "_orbit_expand", recording)
+    cert = torsion_free_overgroup([U], torsion_class_table(2))
+    assert expanded and len(expanded) == len(set(expanded))
+    monkeypatch.undo()
     assert verify_certificate(cert)
 
 
