@@ -26,8 +26,6 @@ from .exactlin import (
     SmithDecomposition,
     char_poly,
     kernel_and_image,
-    mat_inverse,
-    mat_mul,
     min_poly,
     smith_normal_form,
 )

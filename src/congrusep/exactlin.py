@@ -68,10 +68,6 @@ def _parse_exact(value) -> Fraction:
     raise InputError(f"matrix entries must be ints or strings, got {type(value).__name__}")
 
 
-def _format_exact(value: Fraction | int) -> str:
-    return str(value)
-
-
 def det_int(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix given as rows (lists or
     tuples), by Bareiss fraction-free elimination."""
@@ -94,6 +90,41 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def _faddeev_leverrier(rows: Sequence[Sequence[int]]) -> list[int]:
+    """[1, c1, ..., cn] with det(xI - A) = x^n + c1 x^(n-1) + ... + cn, for
+    a square integer matrix A given as rows.
+
+    Faddeev-LeVerrier: M_1 = I, c_k = -tr(A M_k) / k, M_(k+1) = A M_k + c_k I.
+    Each M_k is an integer polynomial in A and each c_k is an integer, so
+    every division by k is exact in Z.
+    """
+    n = len(rows)
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    coeffs = [1]
+    for k in range(1, n + 1):
+        m_cols = tuple(zip(*m))
+        am = [[sum(a * b for a, b in zip(row, col)) for col in m_cols] for row in rows]
+        c = -sum(am[i][i] for i in range(n)) // k
+        coeffs.append(c)
+        for i in range(n):
+            am[i][i] += c
+        m = am
+    return coeffs
+
+
+def _power(base, exponent: int, one):
+    """base ** exponent for exponent >= 0 by square-and-multiply; ``one`` is
+    the multiplicative identity of base's ring."""
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
 
 
 #: Trial division stops at this prime bound; a cofactor left over must then
@@ -286,15 +317,7 @@ class IntegerMatrix:
         n = self.n
         if exponent < 0:
             return self.unimodular_inverse() ** (-exponent)
-        result = IntegerMatrix.identity(n)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, IntegerMatrix.identity(n))
 
     def _same_shape(self, other: "IntegerMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -302,23 +325,11 @@ class IntegerMatrix:
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
 
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    def trace(self) -> int:
-        return sum(self.entries[i][i] for i in range(self.n))
-
     def det(self) -> int:
         """Exact determinant via Bareiss fraction-free elimination."""
         if not self.is_square:
             raise DimensionMismatchError(f"matrix is {self.rows}x{self.cols}, not square")
         return det_int(self.entries)
-
-    @property
-    def is_unimodular(self) -> bool:
-        return self.is_square and self.det() in (1, -1)
 
     def unimodular_inverse(self) -> "IntegerMatrix":
         """Inverse of a determinant-±1 matrix, computed exactly over Z."""
@@ -337,7 +348,7 @@ class IntegerMatrix:
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
-            "entries": [[_format_exact(x) for x in row] for row in self.entries],
+            "entries": [[str(x) for x in row] for row in self.entries],
         }
 
 
@@ -482,15 +493,7 @@ class RationalMatrix:
         n = self.n
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = RationalMatrix.identity(n)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, RationalMatrix.identity(n))
 
     def _same_shape(self, other: "RationalMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -502,59 +505,22 @@ class RationalMatrix:
         c = Fraction(c)
         return RationalMatrix([[c * x for x in row] for row in self.entries])
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    def trace(self) -> Fraction:
-        return sum((self.entries[i][i] for i in range(self.n)), Fraction(0))
-
     def det(self) -> Fraction:
+        """Exact determinant: det_int of d * self over d^n, with d the
+        denominator lcm."""
         n = self.n
-        a = [list(row) for row in self.entries]
-        sign = 1
-        result = Fraction(1)
-        for k in range(n):
-            pivot_row = None
-            for i in range(k, n):
-                if a[i][k] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != k:
-                a[k], a[pivot_row] = a[pivot_row], a[k]
-                sign = -sign
-            pivot = a[k][k]
-            result *= pivot
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    factor = a[i][k] / pivot
-                    a[i] = [a[i][j] - factor * a[k][j] for j in range(n)]
-        return sign * result
+        d, rows = self._cleared()
+        return Fraction(det_int(rows), d**n)
 
     def inverse(self) -> "RationalMatrix":
-        """Exact inverse by Gauss-Jordan elimination."""
+        """Exact inverse: Gauss-Jordan on [self | I]."""
         n = self.n
-        a = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(self.entries)]
-        for k in range(n):
-            pivot_row = None
-            for i in range(k, n):
-                if a[i][k] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                raise SingularMatrixError("matrix is singular")
-            if pivot_row != k:
-                a[k], a[pivot_row] = a[pivot_row], a[k]
-            pivot = a[k][k]
-            a[k] = [x / pivot for x in a[k]]
-            for i in range(n):
-                if i != k and a[i][k] != 0:
-                    factor = a[i][k]
-                    a[i] = [a[i][j] - factor * a[k][j] for j in range(2 * n)]
-        return RationalMatrix([row[n:] for row in a])
+        reduced, pivots = _rref(
+            [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(self.entries)]
+        )
+        if pivots[:n] != list(range(n)):
+            raise SingularMatrixError("matrix is singular")
+        return RationalMatrix([row[n:] for row in reduced])
 
     @property
     def is_integral(self) -> bool:
@@ -571,10 +537,15 @@ class RationalMatrix:
 
         return lcm(*(x.denominator for row in self.entries for x in row))
 
+    def _cleared(self) -> tuple[int, list[list[int]]]:
+        """(d, rows of d * self) with d the denominator lcm: an integer matrix."""
+        d = self.denominator_lcm()
+        return d, [[x.numerator * (d // x.denominator) for x in row] for row in self.entries]
+
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
-            "entries": [[_format_exact(x) for x in row] for row in self.entries],
+            "entries": [[str(x) for x in row] for row in self.entries],
         }
 
 
@@ -600,10 +571,6 @@ class Polynomial:
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
-
-    @classmethod
-    def x_power(cls, k: int) -> "Polynomial":
-        return cls([0] * k + [1])
 
     @property
     def is_zero(self) -> bool:
@@ -676,15 +643,7 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative polynomial powers are not defined")
-        result = Polynomial([1])
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, Polynomial([1]))
 
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if other.is_zero:
@@ -715,18 +674,8 @@ class Polynomial:
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[1]
 
-    def divides(self, other: "Polynomial") -> bool:
-        return (other % self).is_zero
-
     def derivative(self) -> "Polynomial":
         return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def eval_fraction(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def eval_matrix(self, a: RationalMatrix) -> RationalMatrix:
         """Evaluate at a square rational matrix (Horner)."""
@@ -800,20 +749,19 @@ def is_squarefree(f: Polynomial) -> bool:
 
 
 def char_poly(a: RationalMatrix | IntegerMatrix) -> Polynomial:
-    """Monic characteristic polynomial, exact (Faddeev–LeVerrier recursion)."""
+    """Monic characteristic polynomial, exact and computed in Z.
+
+    Integer input goes straight to the integer Faddeev-LeVerrier recursion.
+    Rational input clears one denominator d: c_k(a) = c_k(d a) / d^k.
+    """
+    if not a.is_square:
+        raise DimensionMismatchError(f"matrix is {a.rows}x{a.cols}, not square")
     if isinstance(a, IntegerMatrix):
-        a = a.to_rational()
-    n = a.n
-    eye = RationalMatrix.identity(n)
-    m = eye
-    coeffs = [Fraction(1)]
-    for k in range(1, n + 1):
-        am = a * m
-        c = -am.trace() / k
-        coeffs.append(c)
-        m = am + eye.scale(c)
-    # coeffs are [1, c1, ..., cn] for x^n + c1 x^(n-1) + ... + cn
-    return Polynomial(list(reversed(coeffs)))
+        coeffs = _faddeev_leverrier(a.entries)
+    else:
+        d, rows = a._cleared()
+        coeffs = [Fraction(c, d**k) for k, c in enumerate(_faddeev_leverrier(rows))]
+    return Polynomial(reversed(coeffs))
 
 
 def _flatten(a: RationalMatrix) -> tuple[Fraction, ...]:
@@ -821,35 +769,19 @@ def _flatten(a: RationalMatrix) -> tuple[Fraction, ...]:
 
 
 def _solve_exact(columns: list[tuple[Fraction, ...]], target: tuple[Fraction, ...]):
-    """Solve sum_i x_i * columns[i] = target over Q; None if inconsistent."""
-    rows = len(target)
+    """Solve sum_i x_i * columns[i] = target over Q; None if inconsistent.
+
+    Row-reduces [columns | target]; a pivot in the target column means no
+    solution.  Free variables are set to 0.
+    """
     k = len(columns)
-    aug = [[columns[j][i] for j in range(k)] + [target[i]] for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        pivot_row = None
-        for i in range(r, rows):
-            if aug[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        pivot = aug[r][c]
-        aug[r] = [x / pivot for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [aug[i][j] - f * aug[r][j] for j in range(k + 1)]
-        pivots.append(c)
-        r += 1
-    for i in range(r, rows):
-        if aug[i][k] != 0:
-            return None
+    aug = [[col[i] for col in columns] + [t] for i, t in enumerate(target)]
+    reduced, pivots = _rref(aug)
+    if k in pivots:
+        return None
     solution = [Fraction(0)] * k
     for row_idx, c in enumerate(pivots):
-        solution[c] = aug[row_idx][k]
+        solution[c] = reduced[row_idx][k]
     return solution
 
 
@@ -985,16 +917,6 @@ def smith_normal_form(a: IntegerMatrix, bit_bound: int | None = None) -> SmithDe
 # ---------------------------------------------------------------------------
 
 
-def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    """Exact product (operator form: ``a * b``)."""
-    return a * b
-
-
-def mat_inverse(a: RationalMatrix) -> RationalMatrix:
-    """Exact inverse; raises SingularMatrixError on det = 0."""
-    return a.inverse()
-
-
 def mat_vec(a: RationalMatrix, vec: Sequence) -> tuple[Fraction, ...]:
     if a.cols != len(vec):
         raise DimensionMismatchError(f"matrix has {a.cols} cols, vector has {len(vec)}")
@@ -1002,9 +924,13 @@ def mat_vec(a: RationalMatrix, vec: Sequence) -> tuple[Fraction, ...]:
     return tuple(sum(row[j] * v[j] for j in range(a.cols)) for row in a.entries)
 
 
-def _rref(a: RationalMatrix) -> tuple[list[list[Fraction]], list[int]]:
-    rows = [list(row) for row in a.entries]
-    nrows, ncols = a.rows, a.cols
+def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q, in place, with the pivot columns.
+
+    The one Gauss-Jordan loop: the pivot of each column is its first nonzero
+    entry at or below the current row.
+    """
+    nrows, ncols = len(rows), len(rows[0])
     pivots = []
     r = 0
     for c in range(ncols):
@@ -1021,7 +947,7 @@ def _rref(a: RationalMatrix) -> tuple[list[list[Fraction]], list[int]]:
         for i in range(nrows):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [rows[i][j] - f * rows[r][j] for j in range(ncols)]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -1037,7 +963,7 @@ def kernel_and_image(a: RationalMatrix) -> tuple[list[tuple[Fraction, ...]], lis
     dim ker + dim im = n.
     """
     n = a.n
-    rref_rows, pivots = _rref(a)
+    rref_rows, pivots = _rref([list(row) for row in a.entries])
     pivot_set = set(pivots)
     image = [tuple(a.entries[i][c] for i in range(n)) for c in pivots]
     kernel = []

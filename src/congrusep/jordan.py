@@ -254,12 +254,13 @@ def is_virtually_unipotent_witness(gens: list[IntegerMatrix], wordlen: int) -> b
     True iff every word of length <= wordlen over gens and their inverses has
     a torsion semisimple part; equivalently, all its complex eigenvalues are
     roots of unity, decided exactly through the cyclotomic factorization of
-    the semisimple part's characteristic polynomial.  This scan can refute
-    but never prove virtual unipotency; callers should label results
-    "consistent up to word length L".
+    the word's characteristic polynomial.  That is the semisimple part's
+    characteristic polynomial too: w = s * u with u unipotent commuting with
+    s, so w and s have the same eigenvalues.  This scan can refute but never
+    prove virtual unipotency; callers should label results "consistent up
+    to word length L".
     """
     for w in bounded_words(gens, wordlen):
-        s = jordan_decompose(w).semisimple
-        if cyclotomic_factorization(char_poly(s), w.n) is None:
+        if cyclotomic_factorization(char_poly(w), w.n) is None:
             return False
     return True

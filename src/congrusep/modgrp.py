@@ -29,7 +29,14 @@ from .errors import (
     PreconditionError,
     ResourceError,
 )
-from .exactlin import IntegerMatrix, RationalMatrix, det_int, factorize
+from .exactlin import (
+    IntegerMatrix,
+    RationalMatrix,
+    _faddeev_leverrier,
+    _power,
+    det_int,
+    factorize,
+)
 
 #: Default element budget for closures and orbits.  Exceeding a budget is an
 #: explicit ResourceError, never silent truncation.
@@ -143,15 +150,7 @@ class ModMatrix:
     def __pow__(self, exponent: int) -> "ModMatrix":
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = ModMatrix.identity(self.n, self.m)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, ModMatrix.identity(self.n, self.m))
 
     def to_lists(self) -> list[list[int]]:
         n = self.n
@@ -525,23 +524,15 @@ def conj_class(rep: ModMatrix, cap: int = DEFAULT_CAP) -> ConjClass:
 
 
 def char_coeffs_mod(x: ModMatrix) -> tuple[int, ...]:
-    """Characteristic polynomial coefficients mod m (via principal minors).
+    """Characteristic polynomial coefficients mod m.
 
-    Returns (e_1, ..., e_n) mod m where e_k is the sum of the principal k×k
-    minors, a cheap conjugation invariant used to screen intersections.
+    Returns (e_1, ..., e_n) mod m where e_k = (-1)^k c_k is the sum of the
+    principal k×k minors and c_k the coefficient of t^(n-k) in det(tI - x):
+    a cheap conjugation invariant used to screen intersections.
     """
-    import itertools
-
-    n, m = x.n, x.m
-    rows = x.to_lists()
-    out = []
-    for k in range(1, n + 1):
-        total = 0
-        for subset in itertools.combinations(range(n), k):
-            minor = [[rows[i][j] for j in subset] for i in subset]
-            total += det_int(minor)
-        out.append(total % m)
-    return tuple(out)
+    m = x.m
+    coeffs = _faddeev_leverrier(x.to_lists())
+    return tuple((-c if k % 2 else c) % m for k, c in enumerate(coeffs) if k)
 
 
 # ---------------------------------------------------------------------------

@@ -591,6 +591,9 @@ def verify_certificate(
         return image.elements.isdisjoint(cls.orbit)
     recorded = {e.rep: e for e in cert.per_rep}
     divisor_images: dict[int, modgrp.ModMatrixGroup] = {}
+    # one class per distinct reduced representative (the modulus is part of
+    # the key), as in the search's probes
+    classes: dict[modgrp.ModMatrix, modgrp.ConjClass] = {}
     for rep in cert.torsion_reps:
         order = torsion_order(rep)
         if order is None:
@@ -608,7 +611,10 @@ def verify_certificate(
             divisor_images[m_rep] = modgrp.generate(
                 [modgrp.reduce(g, m_rep) for g in cert.gamma_gens], cap, n=n, m=m_rep
             )
-        cls = modgrp.conj_class(modgrp.reduce(rep, m_rep), cap)
+        rep_mod = modgrp.reduce(rep, m_rep)
+        if rep_mod not in classes:
+            classes[rep_mod] = modgrp.conj_class(rep_mod, cap)
+        cls = classes[rep_mod]
         if cls.size != evidence.class_size or cls.digest() != evidence.class_digest:
             return False
         if not divisor_images[m_rep].elements.isdisjoint(cls.orbit):

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
+from congrusep.cryst import AffineElement, CrystGroup, lift_to_gl
 from congrusep.exactlin import IntegerMatrix
 
 
@@ -92,3 +94,42 @@ def brute_force_closure(gens: list[tuple], n: int, m: int) -> set[tuple]:
         if not new:
             return elements
         elements |= new
+
+
+def leibniz_det(rows):
+    """Determinant by the permutation expansion (oracle: no elimination)."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def principal_minor_sums(rows, m: int) -> tuple:
+    """(e_1, ..., e_n) mod m, e_k the sum of the principal k x k minors."""
+    n = len(rows)
+    return tuple(
+        sum(
+            leibniz_det([[rows[i][j] for j in subset] for i in subset])
+            for subset in itertools.combinations(range(n), k)
+        )
+        % m
+        for k in range(1, n + 1)
+    )
+
+
+def klein_bottle_lift() -> list[IntegerMatrix]:
+    """Generators of the Klein-bottle group lifted into GL(3, Z)."""
+    group = CrystGroup(
+        m=2,
+        generators=[
+            AffineElement(t=(Fraction(1, 2), Fraction(0)), S=IntegerMatrix([[1, 0], [0, -1]])),
+            AffineElement(t=(Fraction(0), Fraction(1)), S=IntegerMatrix.identity(2)),
+        ],
+        lattice=[[1, 0], [0, 1]],
+    )
+    return list(lift_to_gl(group).generators)

@@ -16,14 +16,13 @@ from congrusep.exactlin import (
     IntegerMatrix,
     Polynomial,
     RationalMatrix,
+    _solve_exact,
     char_poly,
     det_int,
     factorize,
     is_squarefree,
     kernel_and_image,
     lattice_basis,
-    mat_inverse,
-    mat_mul,
     mat_vec,
     min_poly,
     poly_gcd,
@@ -32,11 +31,20 @@ from congrusep.exactlin import (
     solve_integer_linear,
     squarefree_part,
 )
-from helpers import random_gl_element
+from helpers import leibniz_det, random_gl_element
 
 I2 = RationalMatrix.identity(2)
 U = RationalMatrix([[1, 1], [0, 1]])
 ROT = RationalMatrix([[0, -1], [1, 0]])
+
+
+def square_matrices(entries):
+    """Square n x n row lists, 1 <= n <= 4, with entries drawn from ``entries``."""
+    return st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(
+            st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -45,11 +53,11 @@ ROT = RationalMatrix([[0, -1], [1, 0]])
 
 
 def test_mat_mul_identity():
-    assert mat_mul(I2, I2) == I2
+    assert I2 * I2 == I2
 
 
 def test_mat_mul_unipotent_power():
-    assert mat_mul(U, U) == RationalMatrix([[1, 2], [0, 1]])
+    assert U * U == RationalMatrix([[1, 2], [0, 1]])
 
 
 def test_rotation_has_order_four():
@@ -59,25 +67,53 @@ def test_rotation_has_order_four():
 
 def test_mat_mul_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        mat_mul(I2, RationalMatrix.identity(3))
+        I2 * RationalMatrix.identity(3)
 
 
 def test_mat_inverse_identity():
-    assert mat_inverse(I2) == I2
+    assert I2.inverse() == I2
 
 
 def test_mat_inverse_unipotent():
-    assert mat_inverse(U) == RationalMatrix([[1, -1], [0, 1]])
+    assert U.inverse() == RationalMatrix([[1, -1], [0, 1]])
 
 
 def test_mat_inverse_diagonal():
     d = RationalMatrix([[2, 0], [0, 3]])
-    assert mat_inverse(d) == RationalMatrix([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
+    assert d.inverse() == RationalMatrix([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
 
 
 def test_mat_inverse_singular():
     with pytest.raises(SingularMatrixError):
-        mat_inverse(RationalMatrix([[1, 1], [1, 1]]))
+        RationalMatrix([[1, 1], [1, 1]]).inverse()
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices(st.fractions(min_value=-2, max_value=2, max_denominator=3)))
+def test_inverse_is_two_sided_or_singular(rows):
+    a = RationalMatrix(rows)
+    if leibniz_det(a.entries) == 0:
+        with pytest.raises(SingularMatrixError):
+            a.inverse()
+        return
+    eye = RationalMatrix.identity(a.n)
+    assert a * a.inverse() == eye
+    assert a.inverse() * a == eye
+
+
+def test_solve_exact_inconsistent_and_rank_deficient():
+    f = Fraction
+    # columns (1, 2, 0) and (2, 4, 0) span a line: rank 1
+    cols = [(f(1), f(2), f(0)), (f(2), f(4), f(0))]
+    assert _solve_exact(cols, (f(1), f(1), f(0))) is None
+    assert _solve_exact(cols, (f(0), f(0), f(1))) is None
+    # consistent: the free variable is 0, the pivot variable carries it all
+    assert _solve_exact(cols, (f(3), f(6), f(0))) == [f(3), f(0)]
+    # square and singular, consistent target
+    cols = [(f(1), f(0), f(1)), (f(0), f(1), f(1)), (f(1), f(1), f(2))]
+    x = _solve_exact(cols, (f(1, 2), f(1, 3), f(5, 6)))
+    assert x == [f(1, 2), f(1, 3), f(0)]
+    assert _solve_exact(cols, (f(1), f(1), f(1))) is None
 
 
 def test_random_unimodular_inverse_roundtrip():
@@ -89,20 +125,18 @@ def test_random_unimodular_inverse_roundtrip():
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=4).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(-20, 20), min_size=n, max_size=n),
-            min_size=n,
-            max_size=n,
-        )
-    )
-)
+@given(square_matrices(st.integers(-20, 20)))
 def test_det_int_matches_rational_det(rows):
-    expected = RationalMatrix(rows).det()
+    expected = leibniz_det(rows)
     assert det_int(rows) == expected
     assert det_int([tuple(row) for row in rows]) == expected
     assert IntegerMatrix(rows).det() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices(st.fractions(min_value=-5, max_value=5, max_denominator=7)))
+def test_rational_det_matches_leibniz(rows):
+    assert RationalMatrix(rows).det() == leibniz_det(rows)
 
 
 def test_det_int_edge_cases():
@@ -213,6 +247,20 @@ def test_cayley_hamilton_on_random_matrices():
         assert chi.eval_matrix(mat) == RationalMatrix.zeros(n)
         count += 1
     assert count == 500
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices(st.fractions(min_value=-3, max_value=3, max_denominator=4)))
+def test_char_poly_matches_leibniz_on_rationals(rows):
+    a = RationalMatrix(rows)
+    n = a.n
+    chi = char_poly(a)
+    assert chi.degree == n and chi.is_monic
+    assert chi.eval_matrix(a) == RationalMatrix.zeros(n)
+    for x0 in range(-2, 3):
+        value = sum(c * x0**k for k, c in enumerate(chi.coeffs))
+        shifted = [[int(i == j) * x0 - a[i, j] for j in range(n)] for i in range(n)]
+        assert value == leibniz_det(shifted)
 
 
 def test_min_poly_divides_char_poly():

@@ -24,7 +24,7 @@ from congrusep.jordan import (
     jordan_decompose,
     torsion_order,
 )
-from helpers import random_gl_element
+from helpers import klein_bottle_lift, random_gl_element
 
 I2 = RationalMatrix.identity(2)
 U = IntegerMatrix([[1, 1], [0, 1]])
@@ -306,6 +306,33 @@ def test_scan_rejects_infinite_order_semisimple():
 
 def test_scan_empty_generators():
     assert is_virtually_unipotent_witness([], 5)
+
+
+@pytest.mark.parametrize(
+    "gens, wordlen, expected",
+    [
+        ([U], 4, True),
+        ([-U], 4, True),  # semisimple part -I
+        (
+            [
+                IntegerMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+                IntegerMatrix([[1, 0, 0], [0, 1, 1], [0, 0, 1]]),
+            ],
+            3,
+            True,
+        ),
+        ([IntegerMatrix([[2, 1], [1, 1]])], 2, False),
+        (klein_bottle_lift(), 3, True),
+    ],
+)
+def test_scan_matches_semisimple_part_reference(gens, wordlen, expected):
+    n = gens[0].n
+    reference = all(
+        cyclotomic_factorization(char_poly(jordan_decompose(w).semisimple), n) is not None
+        for w in bounded_words(gens, wordlen)
+    )
+    assert reference is expected
+    assert is_virtually_unipotent_witness(gens, wordlen) is reference
 
 
 def test_bounded_words_counts():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -32,7 +33,9 @@ from congrusep.modgrp import (
 from helpers import (
     brute_force_closure,
     brute_force_gl,
+    leibniz_det,
     mat_mul_mod,
+    principal_minor_sums,
     random_gl_element,
 )
 
@@ -319,6 +322,20 @@ def test_char_coeffs_mod_is_conjugation_invariant():
         conj = h.unimodular_inverse() * g * h
         for m in (4, 9):
             assert char_coeffs_mod(reduce(g, m)) == char_coeffs_mod(reduce(conj, m))
+
+
+def test_char_coeffs_mod_matches_principal_minor_sums():
+    rng = random.Random(0xE1)
+    for m in (2, 3, 4, 12):
+        for n in (1, 2, 3, 4):
+            checked = 0
+            while checked < 25:
+                rows = [[rng.randrange(m) for _ in range(n)] for _ in range(n)]
+                if gcd(leibniz_det(rows), m) != 1:
+                    continue
+                x = ModMatrix(n, m, [v for row in rows for v in row])
+                assert char_coeffs_mod(x) == principal_minor_sums(rows, m)
+                checked += 1
 
 
 # ---------------------------------------------------------------------------

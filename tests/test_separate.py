@@ -26,7 +26,13 @@ from congrusep.separate import (
     witness_prime,
 )
 from congrusep.jordan import torsion_order
-from helpers import brute_force_closure, brute_force_gl, gl2_box, mat_mul_mod
+from helpers import (
+    brute_force_closure,
+    brute_force_gl,
+    gl2_box,
+    klein_bottle_lift,
+    mat_mul_mod,
+)
 
 U = IntegerMatrix([[1, 1], [0, 1]])
 U2 = IntegerMatrix([[1, 2], [0, 1]])
@@ -420,6 +426,27 @@ def test_verify_rejects_wrong_sizes():
 def test_verify_rejects_tampered_per_rep():
     data = json.loads(dump_certificate(torsion_free_overgroup([U], torsion_class_table(2))))
     data["per_rep"][0]["class_digest"] = "f" * 64
+    assert not verify_certificate(json.dumps(data))
+
+
+def test_verify_expands_each_reduced_rep_once(monkeypatch):
+    cert = torsion_free_overgroup(klein_bottle_lift(), torsion_class_table(3))
+    reduced = [modgrp.reduce(e.rep, e.modulus) for e in cert.per_rep]
+    assert len(set(reduced)) < len(reduced)  # the cache has repeats to serve
+    expanded = []
+    orbit_expand = modgrp._orbit_expand
+
+    def recording(rep, cap, stop_inside=None):
+        expanded.append(rep)
+        return orbit_expand(rep, cap, stop_inside=stop_inside)
+
+    monkeypatch.setattr(modgrp, "_orbit_expand", recording)
+    assert verify_certificate(cert)
+    assert len(expanded) == len(set(expanded)) and set(expanded) == set(reduced)
+    # tampering with a representative whose class comes from the cache
+    repeat = next(i for i, x in enumerate(reduced) if x in reduced[:i])
+    data = json.loads(dump_certificate(cert))
+    data["per_rep"][repeat]["class_digest"] = "f" * 64
     assert not verify_certificate(json.dumps(data))
 
 
