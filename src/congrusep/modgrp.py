@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from math import gcd
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -347,21 +348,26 @@ def unit_group_generators(m: int) -> list[int]:
 
 
 def gl_generators(n: int, m: int) -> list[ModMatrix]:
-    """A generating set of GL(n, Z/m): elementary transvections E_ij(1) plus
-    diag(u,1,...,1) for one unit u per cyclic factor of (Z/m)^*.
+    """A generating set of GL(n, Z/m): the transvection E_01(1), the
+    permutation matrix of the cycle (0 1 ... n-1), and diag(u,1,...,1) for
+    one unit u per cyclic factor of (Z/m)^*.
+
+    Conjugating E_01(1) by powers of the cycle gives every E_i,i+1(1) (the
+    index mod n), and their commutators give every other E_ij(1), which
+    together generate SL(n, Z/m); the diagonal units give every determinant.
     """
     if n < 1:
         raise InputError("dimension must be positive")
+    identity = [int(a == b) for a in range(n) for b in range(n)]
     gens: list[ModMatrix] = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            entries = [1 if a == b else 0 for a in range(n) for b in range(n)]
-            entries[i * n + j] = 1
-            gens.append(ModMatrix(n, m, entries))
+    if n > 1:
+        entries = list(identity)
+        entries[1] = 1
+        gens.append(ModMatrix(n, m, entries))
+        cycle = [int(b == (a + 1) % n) for a in range(n) for b in range(n)]
+        gens.append(ModMatrix(n, m, cycle))
     for u in unit_group_generators(m):
-        entries = [1 if a == b else 0 for a in range(n) for b in range(n)]
+        entries = list(identity)
         entries[0] = u
         gens.append(ModMatrix(n, m, entries))
     return gens
@@ -424,15 +430,25 @@ class ConjClass:
 
 
 def _conjugation_by(t: ModMatrix) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """The map x -> t^(-1) x t on flat entry tuples, for an elementary t.
+    """The map x -> t^(-1) x t on flat entry tuples, for a generator t from
+    ``gl_generators``.
 
-    Every generator from ``gl_generators`` differs from the identity in one
-    entry (i, j).  For a transvection E_ij(1) the conjugate is x with column
-    i added to column j, then row j subtracted from row i; for diag(u, 1,
-    ...) it is x with column i scaled by u and row i by u^(-1).  Either way
-    O(n) entry operations mod m, never a matrix product.
+    A permutation matrix t with t[r(j)][j] = 1 permutes the entries: the
+    conjugate has (i, j) entry x[r(i)][r(j)], one ``itemgetter`` call.
+    Every other generator differs from the identity in one entry (i, j).
+    For a transvection E_ij(1) the conjugate is x with column i added to
+    column j, then row j subtracted from row i; for diag(u, 1, ...) it is x
+    with column i scaled by u and row i by u^(-1).  Either way O(n) entry
+    operations mod m, never a matrix product.
     """
     n, m = t.n, t.m
+    rows = t.to_lists()
+    if n > 1 and all(sorted(row) == [0] * (n - 1) + [1] for row in rows):
+        # one 1 per row, in distinct columns because t is invertible
+        r = [0] * n
+        for i, row in enumerate(rows):
+            r[row.index(1)] = i
+        return itemgetter(*(r[i] * n + r[j] for i in range(n) for j in range(n)))
     identity = ModMatrix.identity(n, m).entries
     ((k, a),) = [(k, v) for k, v in enumerate(t.entries) if v != identity[k]]
     i, j = divmod(k, n)
@@ -472,10 +488,10 @@ def _orbit_expand(
     orbit element lies in that set, returning (partial, True).
 
     Forward generators suffice, as in ``generate``: the monoid of these
-    conjugations is all of GL(n, Z/m).  Each conjugation is a row and a
-    column operation on the entry tuple (``_conjugation_by``), so no t^(-1)
-    is ever formed and no matrix is multiplied; elements stay raw tuples
-    until the result is wrapped once on return.
+    conjugations is all of GL(n, Z/m).  Each conjugation permutes the entry
+    tuple or is a row and a column operation on it (``_conjugation_by``), so
+    no t^(-1) is ever formed and no matrix is multiplied; elements stay raw
+    tuples until the result is wrapped once on return.
     """
     n, m = rep.n, rep.m
     conjugations = [_conjugation_by(t) for t in gl_generators(n, m)]
@@ -514,10 +530,11 @@ def conj_class(rep: ModMatrix, cap: int = DEFAULT_CAP) -> ConjClass:
     Computed as the closure under conjugation by the fixed generating set
     ``gl_generators(n, m)`` alone, with no inverse conjugators: the group is
     finite, so closing under forward generators reaches every element.  Each
-    conjugation by a generator is one row and one column operation on the
-    entries (a transvection adds a column and subtracts a row; a diagonal
-    unit scales a column and a row), O(n) instead of two matrix products.
-    Exceeding ``cap`` raises ResourceError.
+    conjugation by a generator permutes the entries (a permutation matrix)
+    or is one row and one column operation on them (a transvection adds a
+    column and subtracts a row; a diagonal unit scales a column and a row),
+    O(n) instead of two matrix products.  Exceeding ``cap`` raises
+    ResourceError.
     """
     orbit, _ = _orbit_expand(rep, cap)
     return ConjClass(rep, orbit)

@@ -197,7 +197,7 @@ def test_gl_generators_dim1():
 
 
 def test_gl_generators_generate_full_group_small():
-    for n, m in [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2)]:
+    for n, m in [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 12), (3, 2), (3, 3), (4, 2)]:
         grp = generate(gl_generators(n, m))
         assert grp.size == gl_order(n, m), (n, m)
 
