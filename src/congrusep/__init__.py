@@ -47,7 +47,6 @@ from .modgrp import (
     gl_generators,
     padic_level_image,
     reduce,
-    semisimple_elements_mod,
 )
 from .separate import (
     SeparationCertificate,

@@ -176,8 +176,8 @@ def _full_elements(cert, config: RunConfig):
     )
     cls = modgrp.conj_class(modgrp.reduce(cert.eta, cert.m), config.element_cap)
     return (
-        sorted(e.to_lists() for e in image.elements),
-        sorted(e.to_lists() for e in cls.orbit),
+        modgrp._sorted_rows(image.elements, cert.n),
+        modgrp._sorted_rows(cls.orbit, cert.n),
     )
 
 

@@ -22,6 +22,7 @@ group (and its semisimple factors) to the congruence-separation machinery.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +32,7 @@ from .errors import DimensionMismatchError, InputError, ResourceError
 from .exactlin import (
     IntegerMatrix,
     RationalMatrix,
+    _parse_exact,
     _solve_exact,
     integer_kernel_basis,
     kernel_and_image,
@@ -40,6 +42,7 @@ from .exactlin import (
     solve_integer_linear,
 )
 from .jordan import torsion_order
+from .modgrp import _closure
 
 #: Closure budget for the holonomy group; far above any finite
 #: crystallographic holonomy in small dimension.
@@ -104,7 +107,7 @@ class AffineElement:
     def from_json_dict(cls, data) -> "AffineElement":
         if not isinstance(data, dict) or "t" not in data or "S" not in data:
             raise InputError("affine element JSON needs 't' and 'S'")
-        t = [_parse_fraction(x) for x in data["t"]]
+        t = [_parse_exact(x) for x in data["t"]]
         s_rows = data["S"]
         if not isinstance(s_rows, list):
             raise InputError("'S' must be an integer matrix")
@@ -113,19 +116,6 @@ class AffineElement:
         except (TypeError, InputError) as exc:
             raise InputError(f"bad holonomy matrix: {exc}") from exc
         return cls(t=tuple(t), S=s)
-
-
-def _parse_fraction(x) -> Fraction:
-    if isinstance(x, bool):
-        raise InputError("translation entries must be exact numbers")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot parse exact entry {x!r}") from exc
-    raise InputError(f"translation entries must be ints or strings, got {type(x).__name__}")
 
 
 class CrystGroup:
@@ -183,24 +173,17 @@ class CrystGroup:
     # -- construction helpers ---------------------------------------------
 
     def _close_holonomy(self) -> tuple[IntegerMatrix, ...]:
-        eye = IntegerMatrix.identity(self.m)
-        elements = {eye}
-        frontier = [eye]
-        gens = [g.S for g in self.generators]
-        while frontier:
-            new_frontier = []
-            for x in frontier:
-                for s in gens:
-                    y = x * s
-                    if y not in elements:
-                        elements.add(y)
-                        if len(elements) > HOLONOMY_BUDGET:
-                            raise InputError(
-                                "holonomy closure exceeded budget: holonomy is"
-                                " not finite, input is not crystallographic"
-                            )
-                        new_frontier.append(y)
-            frontier = new_frontier
+        maps = [lambda x, s=g.S: x * s for g in self.generators]
+        try:
+            elements, _ = _closure(
+                IntegerMatrix.identity(self.m), maps, HOLONOMY_BUDGET,
+                "closing the holonomy",
+            )
+        except ResourceError:
+            raise InputError(
+                "holonomy closure exceeded budget: holonomy is"
+                " not finite, input is not crystallographic"
+            ) from None
         return tuple(sorted(elements, key=lambda s: s.entries))
 
     def _scan_words(self, wordlen: int) -> list[tuple[Fraction, ...]]:
@@ -300,7 +283,7 @@ class CrystGroup:
             raise InputError("m must be a positive integer")
         if not isinstance(lattice, list) or not isinstance(gens, list):
             raise InputError("'lattice' and 'generators' must be arrays")
-        parsed_lattice = [[_parse_fraction(x) for x in row] for row in lattice]
+        parsed_lattice = [[_parse_exact(x) for x in row] for row in lattice]
         generators = [AffineElement.from_json_dict(g) for g in gens]
         return cls(m=m, generators=generators, lattice=parsed_lattice,
                    lattice_wordlen=lattice_wordlen)
@@ -498,7 +481,7 @@ def semifactor_representatives(group: CrystGroup) -> SemiFactorSet:
         canonical = [a - di * math.floor(a / di) for a, di in zip(shift_coords, diag)]
 
         reps = []
-        for combo in _mixed_radix(diag):
+        for combo in itertools.product(*(range(di) for di in diag)):
             coords = [
                 c + k if c + k < di else c + k - di
                 for c, k, di in zip(canonical, combo, diag)
@@ -546,13 +529,6 @@ def _matrix_in_basis(op: RationalMatrix, basis_cols: list[list]) -> IntegerMatri
             raise AssertionError("lattice is not invariant under the operator")
         out_cols.append([int(c) for c in coords])
     return IntegerMatrix([[out_cols[j][i] for j in range(dim)] for i in range(dim)])
-
-
-def _mixed_radix(radii: Sequence[int]):
-    """Yield tuples c with 0 <= c_i < radii[i], lexicographically."""
-    import itertools
-
-    yield from itertools.product(*(range(r) for r in radii))
 
 
 # ---------------------------------------------------------------------------

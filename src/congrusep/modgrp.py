@@ -15,15 +15,24 @@ Canonical encodings: an element of GL(n,Z/m) is encoded as the ASCII bytes
 of elements is digested as SHA-256 over the newline-joined *sorted* list of
 encodings, making digests order-independent and certificates bit-checkable
 by any independent implementation.
+
+Inside this module a group element held in a set is its flat entry tuple
+(row-major residues in [0, m)), the body of that encoding: subgroups and
+classes are frozensets of tuples, and ``ModMatrix`` objects are made only
+for single elements such as generators and representatives.  Subgroups,
+classes and crystallographic holonomy groups are all closed by the one
+breadth-first loop ``_closure``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 from math import gcd
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
+from . import exactlin
 from .errors import (
     DimensionMismatchError,
     InputError,
@@ -42,6 +51,60 @@ from .exactlin import (
 #: Default element budget for closures and orbits.  Exceeding a budget is an
 #: explicit ResourceError, never silent truncation.
 DEFAULT_CAP = 10**7
+
+
+def _closure(start, maps, cap: int, what: str, stop=None) -> tuple[frozenset, bool]:
+    """Breadth-first closure of {start} under the given maps.
+
+    Returns (closure, False), or (partial, True) as soon as an element lies
+    in ``stop`` (``start`` included).  More than ``cap`` elements raise
+    ResourceError carrying the partial size; ``what`` names the computation
+    in its message.
+    """
+    seen = {start}
+    if stop is not None and start in stop:
+        return frozenset(seen), True
+    frontier = [start]
+    while frontier:
+        new_frontier = []
+        for x in frontier:
+            for f in maps:
+                y = f(x)
+                if y not in seen:
+                    seen.add(y)
+                    if stop is not None and y in stop:
+                        return frozenset(seen), True
+                    if len(seen) > cap:
+                        raise ResourceError(
+                            f"element budget {cap} exceeded while {what}",
+                            partial_size=len(seen),
+                        )
+                    new_frontier.append(y)
+        frontier = new_frontier
+    return frozenset(seen), False
+
+
+def _product(a: tuple[int, ...], b: tuple[int, ...], n: int, m: int) -> tuple[int, ...]:
+    """The entry tuple of a * b mod m; zero entries of a are skipped."""
+    out = [0] * (n * n)
+    for i in range(0, n * n, n):
+        for k in range(n):
+            aik = a[i + k]
+            if aik:
+                kb = k * n
+                for j in range(n):
+                    out[i + j] += aik * b[kb + j]
+    return tuple(x % m for x in out)
+
+
+def _rows(entries: Sequence[int], n: int) -> list[list[int]]:
+    return [list(entries[i : i + n]) for i in range(0, n * n, n)]
+
+
+def _sorted_rows(elements: Iterable[tuple[int, ...]], n: int) -> list[list[list[int]]]:
+    """Entry tuples in sorted order, each split into rows: the same order as
+    sorting the row lists."""
+    return [_rows(x, n) for x in sorted(elements)]
 
 
 class DenominatorNotUnitError(PreconditionError):
@@ -63,7 +126,7 @@ class DenominatorNotUnitError(PreconditionError):
 class ModMatrix:
     """An element of GL(n, Z/m): residue entries with unit determinant."""
 
-    __slots__ = ("n", "m", "entries", "_hash")
+    __slots__ = ("n", "m", "entries")
 
     def __init__(self, n: int, m: int, entries: Sequence[int]):
         if m < 2:
@@ -74,7 +137,6 @@ class ModMatrix:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "entries", flat)
-        object.__setattr__(self, "_hash", None)
         d = self.det()
         if gcd(d, m) != 1:
             raise PreconditionError(
@@ -92,7 +154,6 @@ class ModMatrix:
         object.__setattr__(obj, "n", n)
         object.__setattr__(obj, "m", m)
         object.__setattr__(obj, "entries", entries)
-        object.__setattr__(obj, "_hash", None)
         return obj
 
     @classmethod
@@ -112,11 +173,7 @@ class ModMatrix:
         )
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.n, self.m, self.entries))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.n, self.m, self.entries))
 
     def __repr__(self) -> str:
         return f"ModMatrix(n={self.n}, m={self.m}, entries={list(self.entries)})"
@@ -127,17 +184,7 @@ class ModMatrix:
         if self.n != other.n or self.m != other.m:
             raise DimensionMismatchError("mod-matrix dimension or modulus mismatch")
         n, m = self.n, self.m
-        a, b = self.entries, other.entries
-        out = [0] * (n * n)
-        for i in range(n):
-            base = i * n
-            for k in range(n):
-                aik = a[base + k]
-                if aik:
-                    kb = k * n
-                    for j in range(n):
-                        out[base + j] += aik * b[kb + j]
-        return ModMatrix._raw(n, m, tuple(x % m for x in out))
+        return ModMatrix._raw(n, m, _product(self.entries, other.entries, n, m))
 
     def det(self) -> int:
         """Determinant mod m (via exact integer Bareiss, then reduced)."""
@@ -154,12 +201,7 @@ class ModMatrix:
         return _power(self, exponent, ModMatrix.identity(self.n, self.m))
 
     def to_lists(self) -> list[list[int]]:
-        n = self.n
-        return [list(self.entries[i * n : (i + 1) * n]) for i in range(n)]
-
-    def canonical_bytes(self) -> bytes:
-        body = ",".join(str(x) for x in self.entries)
-        return f"{self.n}:{self.m}:{body}".encode("ascii")
+        return _rows(self.entries, self.n)
 
     def project(self, m_new: int) -> "ModMatrix":
         """Natural projection Z/m -> Z/m_new for m_new dividing m."""
@@ -168,10 +210,13 @@ class ModMatrix:
         return ModMatrix(self.n, m_new, self.entries)
 
 
-def elements_digest(elements: Iterable[ModMatrix]) -> str:
-    """Order-independent SHA-256 digest of a set of elements."""
-    encodings = sorted(e.canonical_bytes() for e in elements)
-    return hashlib.sha256(b"\n".join(encodings)).hexdigest()
+def elements_digest(n: int, m: int, elements: Iterable[tuple[int, ...]]) -> str:
+    """Order-independent SHA-256 digest of a set of entry tuples of
+    GL(n, Z/m): the newline-joined sorted encodings ``n:m:e00,e01,...``."""
+    encode = (f"{n}:{m}:" + ",".join(["{}"] * (n * n))).format
+    # ASCII text sorts as its bytes do
+    body = "\n".join(sorted(encode(*x) for x in elements))
+    return hashlib.sha256(body.encode("ascii")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +256,13 @@ def reduce(g: IntegerMatrix | RationalMatrix, m: int) -> ModMatrix:
 class ModMatrixGroup:
     """The subgroup of GL(n, Z/m) generated by a finite set of elements.
 
-    Carries the complete element set; membership is a hash lookup.
+    Carries the complete element set as entry tuples; membership is a hash
+    lookup.
     """
 
     __slots__ = ("n", "m", "generators", "elements", "_digest")
 
-    def __init__(self, n: int, m: int, generators: tuple[ModMatrix, ...], elements: frozenset[ModMatrix]):
+    def __init__(self, n: int, m: int, generators: tuple[ModMatrix, ...], elements: frozenset[tuple[int, ...]]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "generators", generators)
@@ -231,15 +277,12 @@ class ModMatrixGroup:
         return len(self.elements)
 
     def __contains__(self, x: ModMatrix) -> bool:
-        return x in self.elements
-
-    def __iter__(self):
-        return iter(self.elements)
+        return x.n == self.n and x.m == self.m and x.entries in self.elements
 
     def digest(self) -> str:
         d = self._digest
         if d is None:
-            d = elements_digest(self.elements)
+            d = elements_digest(self.n, self.m, self.elements)
             object.__setattr__(self, "_digest", d)
         return d
 
@@ -252,7 +295,7 @@ class ModMatrixGroup:
             "elements_digest": self.digest(),
         }
         if full:
-            data["elements"] = sorted(e.to_lists() for e in self.elements)
+            data["elements"] = _sorted_rows(self.elements, self.n)
         return data
 
 
@@ -272,33 +315,18 @@ def generate(
     Exceeding ``cap`` elements raises ResourceError carrying the partial size.
     """
     gens = tuple(gens)
-    if not gens:
-        if n is None or m is None:
-            raise InputError("generating the trivial group needs explicit n and m")
-        identity = ModMatrix.identity(n, m)
-        return ModMatrixGroup(n, m, (), frozenset([identity]))
-    n0, m0 = gens[0].n, gens[0].m
-    if any(g.n != n0 or g.m != m0 for g in gens):
-        raise DimensionMismatchError("generators must share dimension and modulus")
-    multipliers = tuple(dict.fromkeys(gens))
-    identity = ModMatrix.identity(n0, m0)
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        new_frontier = []
-        for x in frontier:
-            for t in multipliers:
-                y = x * t
-                if y not in elements:
-                    elements.add(y)
-                    if len(elements) > cap:
-                        raise ResourceError(
-                            f"element budget {cap} exceeded while generating subgroup",
-                            partial_size=len(elements),
-                        )
-                    new_frontier.append(y)
-        frontier = new_frontier
-    return ModMatrixGroup(n0, m0, gens, frozenset(elements))
+    if gens:
+        n, m = gens[0].n, gens[0].m
+        if any(g.n != n or g.m != m for g in gens):
+            raise DimensionMismatchError("generators must share dimension and modulus")
+    elif n is None or m is None:
+        raise InputError("generating the trivial group needs explicit n and m")
+    multipliers = [
+        lambda x, t=t.entries: _product(x, t, n, m) for t in dict.fromkeys(gens)
+    ]
+    identity = ModMatrix.identity(n, m).entries
+    elements, _ = _closure(identity, multipliers, cap, "generating subgroup")
+    return ModMatrixGroup(n, m, gens, elements)
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +413,12 @@ def gl_order(n: int, m: int) -> int:
 
 
 class ConjClass:
-    """The full GL(n, Z/m)-conjugacy orbit of a representative."""
+    """The full GL(n, Z/m)-conjugacy orbit of a representative, as entry
+    tuples."""
 
     __slots__ = ("n", "m", "representative", "orbit", "_digest")
 
-    def __init__(self, representative: ModMatrix, orbit: frozenset[ModMatrix]):
+    def __init__(self, representative: ModMatrix, orbit: frozenset[tuple[int, ...]]):
         object.__setattr__(self, "n", representative.n)
         object.__setattr__(self, "m", representative.m)
         object.__setattr__(self, "representative", representative)
@@ -404,15 +433,12 @@ class ConjClass:
         return len(self.orbit)
 
     def __contains__(self, x: ModMatrix) -> bool:
-        return x in self.orbit
-
-    def __iter__(self):
-        return iter(self.orbit)
+        return x.n == self.n and x.m == self.m and x.entries in self.orbit
 
     def digest(self) -> str:
         d = self._digest
         if d is None:
-            d = elements_digest(self.orbit)
+            d = elements_digest(self.n, self.m, self.orbit)
             object.__setattr__(self, "_digest", d)
         return d
 
@@ -425,7 +451,7 @@ class ConjClass:
             "elements_digest": self.digest(),
         }
         if full:
-            data["elements"] = sorted(e.to_lists() for e in self.orbit)
+            data["elements"] = _sorted_rows(self.orbit, self.n)
         return data
 
 
@@ -481,47 +507,20 @@ def _conjugation_by(t: ModMatrix) -> Callable[[tuple[int, ...]], tuple[int, ...]
 
 
 def _orbit_expand(
-    rep: ModMatrix, cap: int, stop_inside: frozenset[ModMatrix] | None = None
-) -> tuple[frozenset[ModMatrix], bool]:
-    """BFS conjugation orbit of rep under x -> t^(-1) x t for t in
-    ``gl_generators``.  With ``stop_inside`` given, aborts as soon as an
-    orbit element lies in that set, returning (partial, True).
+    rep: ModMatrix, cap: int, stop_inside: frozenset[tuple[int, ...]] | None = None
+) -> tuple[frozenset[tuple[int, ...]], bool]:
+    """BFS conjugation orbit of rep, as entry tuples, under x -> t^(-1) x t
+    for t in ``gl_generators``.  With ``stop_inside`` (a set of entry
+    tuples) given, aborts as soon as an orbit element lies in that set,
+    returning (partial, True).
 
     Forward generators suffice, as in ``generate``: the monoid of these
     conjugations is all of GL(n, Z/m).  Each conjugation permutes the entry
     tuple or is a row and a column operation on it (``_conjugation_by``), so
-    no t^(-1) is ever formed and no matrix is multiplied; elements stay raw
-    tuples until the result is wrapped once on return.
+    no t^(-1) is ever formed and no matrix is multiplied.
     """
-    n, m = rep.n, rep.m
-    conjugations = [_conjugation_by(t) for t in gl_generators(n, m)]
-    stop = None if stop_inside is None else {x.entries for x in stop_inside}
-
-    def wrap(orbit: set) -> frozenset[ModMatrix]:
-        return frozenset(ModMatrix._raw(n, m, x) for x in orbit)
-
-    start = rep.entries
-    orbit = {start}
-    if stop is not None and start in stop:
-        return wrap(orbit), True
-    frontier = [start]
-    while frontier:
-        new_frontier = []
-        for x in frontier:
-            for conjugate in conjugations:
-                y = conjugate(x)
-                if y not in orbit:
-                    orbit.add(y)
-                    if stop is not None and y in stop:
-                        return wrap(orbit), True
-                    if len(orbit) > cap:
-                        raise ResourceError(
-                            f"element budget {cap} exceeded while expanding orbit",
-                            partial_size=len(orbit),
-                        )
-                    new_frontier.append(y)
-        frontier = new_frontier
-    return wrap(orbit), False
+    conjugations = [_conjugation_by(t) for t in gl_generators(rep.n, rep.m)]
+    return _closure(rep.entries, conjugations, cap, "expanding orbit", stop_inside)
 
 
 def conj_class(rep: ModMatrix, cap: int = DEFAULT_CAP) -> ConjClass:
@@ -540,15 +539,15 @@ def conj_class(rep: ModMatrix, cap: int = DEFAULT_CAP) -> ConjClass:
     return ConjClass(rep, orbit)
 
 
-def char_coeffs_mod(x: ModMatrix) -> tuple[int, ...]:
-    """Characteristic polynomial coefficients mod m.
+def char_coeffs_mod(entries: tuple[int, ...], n: int, m: int) -> tuple[int, ...]:
+    """Characteristic polynomial coefficients mod m of the matrix with the
+    given entry tuple.
 
     Returns (e_1, ..., e_n) mod m where e_k = (-1)^k c_k is the sum of the
     principal k×k minors and c_k the coefficient of t^(n-k) in det(tI - x):
     a cheap conjugation invariant used to screen intersections.
     """
-    m = x.m
-    coeffs = _faddeev_leverrier(x.to_lists())
+    coeffs = _faddeev_leverrier(_rows(entries, n))
     return tuple((-c if k % 2 else c) % m for k, c in enumerate(coeffs) if k)
 
 
@@ -583,25 +582,6 @@ def padic_level_image(
     return generate([reduce(g, m) for g in gens], cap)
 
 
-def semisimple_elements_mod(
-    group: ModMatrixGroup, torsion_reps: Sequence[IntegerMatrix]
-) -> list[ModMatrix]:
-    """Elements of ``group`` lying in some mod-m class of the given
-    semisimple representatives: group ∩ ⋃_j class(reduce(rep_j, m)).
-
-    Returned in canonical sorted order.
-    """
-    from .jordan import is_semisimple
-
-    found: set[ModMatrix] = set()
-    for rep in torsion_reps:
-        if not is_semisimple(rep.to_rational()):
-            raise PreconditionError("torsion representatives must be semisimple")
-        cls = conj_class(reduce(rep, group.m))
-        found.update(group.elements & cls.orbit)
-    return sorted(found, key=lambda x: x.canonical_bytes())
-
-
 # ---------------------------------------------------------------------------
 # exact mod-m conjugacy decision
 # ---------------------------------------------------------------------------
@@ -630,31 +610,19 @@ def _fp_row_basis(vectors: list[list[int]], p: int) -> list[list[int]]:
 
 
 def _conjugate_mod_prime_power(
-    a: IntegerMatrix, b: IntegerMatrix, p: int, e: int, budget: int
+    snf: exactlin.SmithDecomposition, n: int, p: int, e: int, budget: int
 ) -> bool:
-    """Exact conjugacy decision in GL(n, Z/p^e).
+    """Exact conjugacy decision in GL(n, Z/p^e), given the Smith normal form
+    of the integral operator X -> X a - b X on n x n matrices.
 
-    The X with X a = b X mod p^e form a module S computable from the Smith
-    normal form of the integral operator X -> X a - b X.  X in S is a unit
-    mod p^e iff its reduction mod p is a unit, and S's reduction mod p is an
-    F_p-subspace: the decision reduces to scanning that subspace (projective
-    representatives, early exit) for a nonsingular matrix.
+    The X with X a = b X mod p^e form a module S read off that Smith form.
+    X in S is a unit mod p^e iff its reduction mod p is a unit, and S's
+    reduction mod p is an F_p-subspace: the decision reduces to scanning
+    that subspace (projective representatives, early exit) for a
+    nonsingular matrix.
     """
-    from .exactlin import smith_normal_form
-
-    n = a.n
     q = p**e
     nn = n * n
-    cols = []
-    for i in range(n):
-        for j in range(n):
-            basis = [[0] * n for _ in range(n)]
-            basis[i][j] = 1
-            mat = IntegerMatrix(basis)
-            t = mat * a - b * mat
-            cols.append([t.entries[r][c] for r in range(n) for c in range(n)])
-    op = IntegerMatrix([[cols[j][i] for j in range(nn)] for i in range(nn)])
-    snf = smith_normal_form(op)
     v = snf.V.entries
     module_gens = []
     for i in range(nn):
@@ -676,18 +644,15 @@ def _conjugate_mod_prime_power(
             f"conjugacy scan needs {combos} combinations mod {p}, budget is {budget}"
         )
     # scan projective representatives: first nonzero coefficient equals 1
-    import itertools as _it
-
     for lead in range(r):
-        for tail in _it.product(range(p), repeat=r - lead - 1):
+        for tail in itertools.product(range(p), repeat=r - lead - 1):
             vec = [0] * nn
             coeffs = (1,) + tail
             for c, basis_vec in zip(coeffs, span[lead:]):
                 if c:
                     for idx in range(nn):
                         vec[idx] = (vec[idx] + c * basis_vec[idx]) % p
-            rows = [vec[i * n : (i + 1) * n] for i in range(n)]
-            if det_int(rows) % p != 0:
+            if det_int(_rows(vec, n)) % p != 0:
                 return True
     return False
 
@@ -699,8 +664,9 @@ def is_conjugate_mod(
 
     Decomposes m into prime powers (conjugacy mod m holds iff it holds mod
     every prime-power factor) and decides each factor via the solution module
-    of X a = b X.  Raises ResourceError when a scan would exceed ``budget``
-    candidate combinations; never returns a wrong answer.
+    of X a = b X, from one Smith normal form of the operator X -> X a - b X.
+    Raises ResourceError when a scan would exceed ``budget`` candidate
+    combinations; never returns a wrong answer.
     """
     n = a.n
     if b.n != n:
@@ -709,7 +675,14 @@ def is_conjugate_mod(
         raise InputError(f"modulus must be >= 2, got {m}")
     if a == b:
         return True
-    for p, e in factorize(m):
-        if not _conjugate_mod_prime_power(a, b, p, e, budget):
-            return False
-    return True
+    factors = factorize(m)
+    # column i*n + j is E_ij a - b E_ij, row-major: its (r, c) entry is
+    # [r == i] a[j][c] - b[r][i] [j == c]
+    x, y = a.entries, b.entries
+    op = IntegerMatrix([
+        [(r == i) * x[j][c] - y[r][i] * (j == c) for i in range(n) for j in range(n)]
+        for r in range(n)
+        for c in range(n)
+    ])
+    snf = exactlin.smith_normal_form(op)
+    return all(_conjugate_mod_prime_power(snf, n, p, e, budget) for p, e in factors)

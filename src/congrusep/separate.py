@@ -232,9 +232,10 @@ def dump_certificate(cert: SeparationCertificate | TorsionFreeCertificate) -> st
 def _cc_index(image: modgrp.ModMatrixGroup) -> dict[tuple, frozenset]:
     """Image elements bucketed by char-poly coefficients mod m (a cheap
     conjugation invariant): the only candidates for meeting a class."""
+    n, m = image.n, image.m
     index: dict[tuple, list] = {}
     for x in image.elements:
-        index.setdefault(modgrp.char_coeffs_mod(x), []).append(x)
+        index.setdefault(modgrp.char_coeffs_mod(x, n, m), []).append(x)
     return {key: frozenset(vals) for key, vals in index.items()}
 
 
@@ -251,9 +252,9 @@ def _probe_disjoint(
     Returns (disjoint, class) where the class is included only when the
     probe happened to complete the full orbit.
     """
-    if rep_mod in image.elements:
+    if rep_mod in image:
         return False, None
-    stop = cc_index.get(modgrp.char_coeffs_mod(rep_mod))
+    stop = cc_index.get(modgrp.char_coeffs_mod(rep_mod.entries, rep_mod.n, rep_mod.m))
     if not stop:
         return True, None
     orbit, hit = modgrp._orbit_expand(rep_mod, cap, stop_inside=stop)

@@ -103,7 +103,7 @@ def test_avoid_verify_only_semiprime_modulus_is_bounded(tmp_path):
         "gamma_gens": [],
         "eta": json.loads(NEG_I),
         "image_size": 1,
-        "image_digest": modgrp.elements_digest([modgrp.ModMatrix.identity(2, m)]),
+        "image_digest": modgrp.elements_digest(2, m, [modgrp.ModMatrix.identity(2, m).entries]),
         "class_size": 1,
         "class_digest": "0" * 64,
         "disjoint": True,
@@ -251,6 +251,23 @@ def test_semifactors_infinite_holonomy_exit_code(capsys):
     code, _, err = run_cli(["semifactors", shear], capsys)
     assert code == 2
     assert "base case" in err
+
+
+def test_semifactors_infinite_holonomy_closure_exit_code(capsys):
+    # two holonomy generators of order 2 whose product is the shear [[1, 1], [0, 1]]
+    group = json.dumps(
+        {
+            "m": 2,
+            "lattice": [["1", "0"], ["0", "1"]],
+            "generators": [
+                {"t": ["0", "0"], "S": [[-1, 1], [0, 1]]},
+                {"t": ["0", "0"], "S": [[-1, 0], [0, 1]]},
+            ],
+        }
+    )
+    code, _, err = run_cli(["semifactors", group], capsys)
+    assert code == 2
+    assert "holonomy is not finite" in err
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from congrusep.modgrp import (
     is_conjugate_mod,
     padic_level_image,
     reduce,
-    semisimple_elements_mod,
     unit_group_generators,
 )
 from helpers import (
@@ -128,7 +127,20 @@ def test_generate_sl2_mod2():
     assert grp.size == 6
     # oracle: brute-force closure over flat tuples
     oracle = brute_force_closure([tuple(reduce(U, 2).entries), tuple(reduce(L, 2).entries)], 2, 2)
-    assert {g.entries for g in grp.elements} == oracle
+    assert grp.elements == oracle
+    rows = sorted([list(x[:2]), list(x[2:])] for x in oracle)
+    assert grp.to_json_dict(full=True)["elements"] == rows
+
+
+def test_membership_checks_dimension_and_modulus():
+    grp = generate([reduce(U, 2)])
+    cls = conj_class(reduce(U, 2))
+    for container in (grp, cls):
+        assert reduce(U, 2) in container
+        # same entry tuple, other modulus
+        assert ModMatrix.identity(2, 4) not in container
+        assert reduce(U, 4) not in container
+        assert ModMatrix.identity(3, 2) not in container
 
 
 def test_generate_budget():
@@ -154,7 +166,7 @@ def test_group_digest_deterministic():
     b = generate([reduce(U, 5)])
     assert a.digest() == b.digest()
     assert a.to_json_dict()["elements_digest"] == b.digest()
-    assert elements_digest(a.elements) == a.digest()
+    assert elements_digest(a.n, a.m, a.elements) == a.digest()
 
 
 def test_group_and_class_json_shapes():
@@ -214,7 +226,7 @@ def test_conj_class_identity_is_central():
 
 def test_conj_class_scalar_is_central():
     cls = conj_class(reduce(NEG_I, 3))
-    assert cls.orbit == frozenset([reduce(NEG_I, 3)])
+    assert cls.orbit == frozenset([reduce(NEG_I, 3).entries])
 
 
 def test_conj_class_transvections_mod2():
@@ -224,7 +236,9 @@ def test_conj_class_transvections_mod2():
         ((1, 0), (1, 1)),
         ((0, 1), (1, 0)),
     }
-    assert {tuple(map(tuple, x.to_lists())) for x in cls.orbit} == expected
+    assert {(x[:2], x[2:]) for x in cls.orbit} == expected
+    rows = sorted([list(row) for row in x] for x in expected)
+    assert cls.to_json_dict(full=True)["elements"] == rows
 
 
 def test_orbit_sizes_divide_group_order():
@@ -285,14 +299,14 @@ def test_orbit_expand_stops_inside():
     rep = reduce(U, 5)
     full = conj_class(rep).orbit
     target = reduce(L, 5)
-    partial, hit = _orbit_expand(rep, 10**6, stop_inside=frozenset([target]))
-    assert hit and target in partial
-    assert rep in partial and partial <= full
+    partial, hit = _orbit_expand(rep, 10**6, stop_inside=frozenset([target.entries]))
+    assert hit and target.entries in partial
+    assert rep.entries in partial and partial <= full
     # the representative itself is checked before any conjugation
-    partial, hit = _orbit_expand(rep, 10**6, stop_inside=frozenset([rep]))
-    assert (partial, hit) == (frozenset([rep]), True)
+    partial, hit = _orbit_expand(rep, 10**6, stop_inside=frozenset([rep.entries]))
+    assert (partial, hit) == (frozenset([rep.entries]), True)
     outside = reduce(NEG_I, 5)
-    assert _orbit_expand(rep, 10**6, stop_inside=frozenset([outside])) == (full, False)
+    assert _orbit_expand(rep, 10**6, stop_inside=frozenset([outside.entries])) == (full, False)
 
 
 def test_orbit_expand_budget():
@@ -321,7 +335,8 @@ def test_char_coeffs_mod_is_conjugation_invariant():
         h = random_gl_element(rng, 3)
         conj = h.unimodular_inverse() * g * h
         for m in (4, 9):
-            assert char_coeffs_mod(reduce(g, m)) == char_coeffs_mod(reduce(conj, m))
+            x, y = reduce(g, m), reduce(conj, m)
+            assert char_coeffs_mod(x.entries, 3, m) == char_coeffs_mod(y.entries, 3, m)
 
 
 def test_char_coeffs_mod_matches_principal_minor_sums():
@@ -334,7 +349,7 @@ def test_char_coeffs_mod_matches_principal_minor_sums():
                 if gcd(leibniz_det(rows), m) != 1:
                     continue
                 x = ModMatrix(n, m, [v for row in rows for v in row])
-                assert char_coeffs_mod(x) == principal_minor_sums(rows, m)
+                assert char_coeffs_mod(x.entries, n, m) == principal_minor_sums(rows, m)
                 checked += 1
 
 
@@ -362,7 +377,7 @@ def test_tower_projection_is_onto():
     for k in range(1, 4):
         higher = padic_level_image([U, L], 2, k + 1)
         lower = padic_level_image([U, L], 2, k)
-        projected = {x.project(2**k) for x in higher.elements}
+        projected = {tuple(v % 2**k for v in x) for x in higher.elements}
         assert projected == set(lower.elements)
 
 
@@ -370,39 +385,13 @@ def test_crt_consistency():
     grp12 = generate([reduce(U, 12)])
     grp4 = generate([reduce(U, 4)])
     grp3 = generate([reduce(U, 3)])
-    pairs = {(x.project(4), x.project(3)) for x in grp12.elements}
+    pairs = {
+        (tuple(v % 4 for v in x), tuple(v % 3 for v in x)) for x in grp12.elements
+    }
     assert len(pairs) == grp12.size  # the CRT map is injective
     assert grp12.size <= grp4.size * grp3.size
     assert {p for p, _ in pairs} == set(grp4.elements)
     assert {q for _, q in pairs} == set(grp3.elements)
-
-
-# ---------------------------------------------------------------------------
-# semisimple elements of an image
-# ---------------------------------------------------------------------------
-
-
-def test_semisimple_elements_mod_disjoint_case():
-    grp = generate([reduce(U, 3)])
-    assert semisimple_elements_mod(grp, [NEG_I]) == []
-
-
-def test_semisimple_elements_mod_trivial_group():
-    grp = generate([], n=2, m=5)
-    found = semisimple_elements_mod(grp, [IntegerMatrix.identity(2)])
-    assert found == [ModMatrix.identity(2, 5)]
-
-
-def test_semisimple_elements_mod_reduction_collision():
-    grp = generate([reduce(U, 2)])
-    found = semisimple_elements_mod(grp, [NEG_I])
-    assert found == [ModMatrix.identity(2, 2)]
-
-
-def test_semisimple_elements_mod_requires_semisimple():
-    grp = generate([reduce(U, 3)])
-    with pytest.raises(PreconditionError):
-        semisimple_elements_mod(grp, [U])
 
 
 # ---------------------------------------------------------------------------

@@ -204,7 +204,7 @@ def test_certificate_disjointness_by_independent_conjugacy_route():
             [modgrp.reduce(g, evidence.modulus) for g in cert.gamma_gens]
         )
         for x in image.elements:
-            lifted = IntegerMatrix(x.to_lists())
+            lifted = IntegerMatrix([list(x[:2]), list(x[2:])])
             assert not is_conjugate_mod(lifted, evidence.rep, evidence.modulus)
 
 
