@@ -18,6 +18,7 @@ exactness survives serialization).  Plain JSON integers are accepted on input.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -114,16 +115,16 @@ def _faddeev_leverrier(rows: Sequence[Sequence[int]]) -> list[int]:
     return coeffs
 
 
-def _power(base, exponent: int, one):
-    """base ** exponent for exponent >= 0 by square-and-multiply; ``one`` is
-    the multiplicative identity of base's ring."""
+def _power(base, exponent: int, one, mul=operator.mul):
+    """base ** exponent for exponent >= 0 by square-and-multiply; ``mul`` is
+    the product of base's ring and ``one`` its identity, never multiplied."""
     result = one
     while exponent:
         if exponent & 1:
-            result = result * base
+            result = base if result is one else mul(result, base)
         exponent >>= 1
         if exponent:
-            base = base * base
+            base = mul(base, base)
     return result
 
 
@@ -594,10 +595,6 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         lead = self.leading
         return Polynomial([c / lead for c in self.coeffs])
-
-    @property
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs

@@ -7,15 +7,15 @@ decomposition here is computed by a Newton iteration on the squarefree part
 of the characteristic polynomial, which reaches the exact fixed point in at
 most ceil(log2 n) steps; no approximation is involved at any stage.
 
-Torsion is decided exactly: element orders in GL(n,Z) are constrained by
-cyclotomic factorizations of the characteristic polynomial, so candidate
-orders can be enumerated completely instead of guessing a power cutoff.
+Torsion is decided exactly by Minkowski's lemma: a torsion element of
+GL(n,Z) has the order of its reduction mod 3, and every finite order divides
+L(n) and is at most M(n), so the cost is bounded for any n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import lcm, prod
 
 from .errors import PreconditionError, SingularMatrixError
@@ -23,6 +23,7 @@ from .exactlin import (
     IntegerMatrix,
     Polynomial,
     RationalMatrix,
+    _power,
     char_poly,
     factorize,
     is_squarefree,
@@ -30,6 +31,7 @@ from .exactlin import (
     poly_xgcd,
     squarefree_part,
 )
+from .modgrp import _product
 
 _MAX_NEWTON_STEPS = 64  # ceil(log2 n) + slack; evaluated exactly, never hit
 
@@ -136,7 +138,7 @@ def conjugate_decomposition(
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic machinery and torsion
+# torsion orders from Minkowski's lemma
 # ---------------------------------------------------------------------------
 
 
@@ -145,72 +147,59 @@ def euler_phi(d: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(d: int) -> Polynomial:
-    """The d-th cyclotomic polynomial, exact integer coefficients."""
-    if d < 1:
-        raise ValueError("cyclotomic index must be positive")
-    num = Polynomial([-1] + [0] * (d - 1) + [1])  # x^d - 1
-    for e in range(1, d):
-        if d % e == 0:
-            num = num // cyclotomic_polynomial(e)
-    return num
+def _orders_lcm(n: int) -> int:
+    """L(n) = lcm{d : phi(d) <= n}, a multiple of every finite order in
+    GL(n,Z): the eigenvalues are d-th roots of unity with phi(d) <= n, and
+    phi(d) >= sqrt(d/2) > n once d > 2n^2."""
+    return lcm(*(d for d in range(1, 2 * n * n + 2) if euler_phi(d) <= n))
 
 
-def _cyclotomic_candidates(n: int) -> list[int]:
-    """All d with phi(d) <= n (so Phi_d can divide a degree-n char poly)."""
-    return [d for d in range(1, 2 * n * n + 2) if euler_phi(d) <= n]
+@lru_cache(maxsize=None)
+def max_torsion_order(n: int) -> int:
+    """M(n), the largest finite order in GL(n,Z): the largest lcm of indices
+    d with sum of phi(d) <= n, by a knapsack keeping the least cost per lcm."""
+    cost = {1: 0}
+    for d in range(2, 2 * n * n + 2):
+        phi = euler_phi(d)
+        for l, c in list(cost.items()):
+            key, total = lcm(l, d), c + phi
+            if total < cost.get(key, n + 1):
+                cost[key] = total
+    return max(cost)
 
 
-def cyclotomic_factorization(f: Polynomial, n: int) -> dict[int, int] | None:
-    """Factor f as a product of cyclotomic polynomials Phi_d, phi(d) <= n.
-
-    Returns {d: multiplicity} on success, None if a non-cyclotomic factor
-    remains.  Exact: all eigenvalue roots of unity iff the return is not None.
-    """
-    if f.is_zero or not f.is_monic or not f.is_integral:
-        return None
-    factors: dict[int, int] = {}
-    rem = f
-    for d in _cyclotomic_candidates(n):
-        phi_d = cyclotomic_polynomial(d)
-        while rem.degree >= phi_d.degree:
-            q, r = divmod(rem, phi_d)
-            if not r.is_zero:
-                break
-            factors[d] = factors.get(d, 0) + 1
-            rem = q
-        if rem.degree == 0:
-            break
-    if rem.degree != 0 or rem.coeffs[0] != 1:
-        return None
-    return factors
+def _order_mod3(g: IntegerMatrix, exponent: int) -> int | None:
+    """The order of g mod 3 if it divides ``exponent``, else None: for each
+    p^a exactly dividing it, the order's p-part is that of g^(exponent/p^a)."""
+    n = g.n
+    x = tuple(v % 3 for row in g.entries for v in row)
+    eye = tuple(int(i == j) for i in range(n) for j in range(n))
+    mul = partial(_product, n=n, m=3)
+    order = 1
+    for p, a in factorize(exponent):
+        y = _power(x, exponent // p**a, eye, mul)
+        while y != eye and a:
+            y, order, a = _power(y, p, eye, mul), order * p, a - 1
+        if y != eye:
+            return None
+    return order
 
 
 def torsion_order(g: IntegerMatrix) -> int | None:
     """Least m >= 1 with g^m = I, or None when g has infinite order.
 
-    Requires g in GL(n,Z).  Candidate orders come from the cyclotomic
-    factorization of the characteristic polynomial: if it is not a product
-    of cyclotomics the element is provably non-torsion; otherwise the order,
-    if finite, divides the lcm of the cyclotomic indices, so finitely many
-    exact power checks settle the question completely.
+    Requires g in GL(n,Z).  By Minkowski's lemma the kernel of
+    GL(n,Z) -> GL(n,Z/3) is torsion free: with k the order of g mod 3, a
+    torsion g has g^k = I, so its order is k.  Finite orders divide L(n) and
+    are at most M(n): O(log L(n)) products mod 3 and one power g^k decide.
     """
     n = g.n
     if g.det() not in (1, -1):
         raise PreconditionError(f"matrix not in GL({n},Z): det = {g.det()}")
-    factors = cyclotomic_factorization(char_poly(g), n)
-    if factors is None:
+    k = _order_mod3(g, _orders_lcm(n))
+    if k is None or k > max_torsion_order(n):
         return None
-    bound = lcm(*factors.keys())
-    eye = IntegerMatrix.identity(n)
-    if g ** bound != eye:
-        return None
-    # the order divides bound: strip each prime while the power stays trivial
-    order = bound
-    for p, _ in factorize(bound):
-        while order % p == 0 and g ** (order // p) == eye:
-            order //= p
-    return order
+    return k if g**k == IntegerMatrix.identity(n) else None
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +241,28 @@ def is_virtually_unipotent_witness(gens: list[IntegerMatrix], wordlen: int) -> b
     """Bounded necessary-condition scan for virtual unipotency.
 
     True iff every word of length <= wordlen over gens and their inverses has
-    a torsion semisimple part; equivalently, all its complex eigenvalues are
-    roots of unity, decided exactly through the cyclotomic factorization of
-    the word's characteristic polynomial.  That is the semisimple part's
-    characteristic polynomial too: w = s * u with u unipotent commuting with
-    s, so w and s have the same eigenvalues.  This scan can refute but never
-    prove virtual unipotency; callers should label results "consistent up
-    to word length L".
+    a torsion semisimple part, i.e. only roots of unity as eigenvalues (w and
+    s share them: w = s * u with u unipotent commuting with s).  It can
+    refute but never prove virtual unipotency; callers should label results
+    "consistent up to word length L".
+
+    Decided mod 3: with k the order of w mod 3, the eigenvalues of w are
+    roots of unity iff char_poly(w^k) = (x - 1)^n.  If they are, so is each
+    eigenvalue z of w^k, and (z - 1)/3 is an algebraic integer because
+    (w^k - I)/3 is integral; for z a primitive d-th root with d > 1 its norm
+    +-Phi_d(1)/3^phi(d) is no integer, so z = 1 (Serre, "Rigidité du
+    foncteur de Jacobi d'échelon n >= 3", appendix).  The converse is clear.
+    k is bounded too: s has order r dividing L(n), r <= M(n), w^r = u^r is
+    unipotent and integral, and (I + N)^(3^c) = I mod 3 once 3^c >= n; so
+    k | L(n) * 3^c and k <= M(n) * 3^c, or w is refuted with no exact power.
     """
+    n = gens[0].n if gens else 1  # no gens: no words, nothing to refute
+    unipotent_part = min(3**c for c in range(n) if 3**c >= n)  # least 3^c >= n
+    exponent = _orders_lcm(n) * unipotent_part
+    bound = max_torsion_order(n) * unipotent_part
+    target = Polynomial([-1, 1]) ** n
     for w in bounded_words(gens, wordlen):
-        if cyclotomic_factorization(char_poly(w), w.n) is None:
+        k = _order_mod3(w, exponent)
+        if k is None or k > bound or char_poly(w**k) != target:
             return False
     return True

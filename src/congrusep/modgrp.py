@@ -203,12 +203,6 @@ class ModMatrix:
     def to_lists(self) -> list[list[int]]:
         return _rows(self.entries, self.n)
 
-    def project(self, m_new: int) -> "ModMatrix":
-        """Natural projection Z/m -> Z/m_new for m_new dividing m."""
-        if self.m % m_new != 0:
-            raise InputError(f"{m_new} does not divide modulus {self.m}")
-        return ModMatrix(self.n, m_new, self.entries)
-
 
 def elements_digest(n: int, m: int, elements: Iterable[tuple[int, ...]]) -> str:
     """Order-independent SHA-256 digest of a set of entry tuples of

@@ -23,6 +23,7 @@ infinite-order semisimple element) can legitimately exhaust any schedule.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from math import lcm
@@ -709,14 +710,19 @@ def validate_torsion_table(
 
     Enumerates every torsion element of GL(n,Z) with entries in
     [-bound, bound] and returns those NOT conjugate mod every listed modulus
-    to some same-order table entry.  An empty list is a pass.  The screen is
-    necessary, not sufficient: it can expose a missing class but cannot prove
-    completeness.
+    (each >= 2) to a table entry of the same order and char poly.  An empty
+    list is a pass.  The screen is necessary, not sufficient: it can expose a
+    missing class but cannot prove completeness.
     """
-    import itertools
+    from .exactlin import char_poly  # at call time, so a wrapper on it is seen
 
-    from .exactlin import char_poly
-
+    if any(m < 2 for m in moduli):
+        raise InputError("screen moduli must be >= 2")
+    # Conjugate mod every listed modulus iff conjugate mod their lcm: each
+    # divides joint, and by the Chinese remainder theorem GL(n, Z/joint) is
+    # the product over the prime powers exactly dividing joint, each of which
+    # divides a listed modulus.  No moduli: match on (order, char poly) alone.
+    joint = lcm(*moduli)
     if table is None:
         table = torsion_class_table(n)
     buckets: dict[tuple, list[IntegerMatrix]] = {}
@@ -747,7 +753,7 @@ def validate_torsion_table(
             continue
         candidates = buckets.get((order, char_poly(g)), [])
         if not any(
-            all(modgrp.is_conjugate_mod(g, t, m) for m in moduli) for t in candidates
+            not moduli or modgrp.is_conjugate_mod(g, t, joint) for t in candidates
         ):
             unmatched.append(g)
     return unmatched

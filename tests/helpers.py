@@ -9,9 +9,12 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 from congrusep.cryst import AffineElement, CrystGroup, lift_to_gl
-from congrusep.exactlin import IntegerMatrix
+from congrusep.exactlin import IntegerMatrix, Polynomial, char_poly, factorize
+from congrusep.jordan import euler_phi
 
 
 def elementary_generators(n: int) -> list[IntegerMatrix]:
@@ -40,13 +43,13 @@ def random_gl_element(rng: random.Random, n: int, word_len: int = 6) -> IntegerM
     return out
 
 
-def gl2_box(bound: int) -> list[IntegerMatrix]:
-    """All of GL(2,Z) with entries in [-bound, bound]."""
+def unimodular_box(n: int, bound: int) -> list[IntegerMatrix]:
+    """Every det +-1 matrix of GL(n,Z) with entries in [-bound, bound]."""
     out = []
-    values = range(-bound, bound + 1)
-    for a, b, c, d in itertools.product(values, repeat=4):
-        if a * d - b * c in (1, -1):
-            out.append(IntegerMatrix([[a, b], [c, d]]))
+    for flat in itertools.product(range(-bound, bound + 1), repeat=n * n):
+        rows = [flat[i * n : (i + 1) * n] for i in range(n)]
+        if leibniz_det(rows) in (1, -1):
+            out.append(IntegerMatrix(rows))
     return out
 
 
@@ -133,3 +136,69 @@ def klein_bottle_lift() -> list[IntegerMatrix]:
         lattice=[[1, 0], [0, 1]],
     )
     return list(lift_to_gl(group).generators)
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic oracle: torsion orders and root-of-unity spectra by factoring
+# the characteristic polynomial, independent of the library's mod-3 route
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(d: int) -> Polynomial:
+    """The d-th cyclotomic polynomial, exact integer coefficients."""
+    if d < 1:
+        raise ValueError("cyclotomic index must be positive")
+    num = Polynomial([-1] + [0] * (d - 1) + [1])  # x^d - 1
+    for e in range(1, d):
+        if d % e == 0:
+            num = num // cyclotomic_polynomial(e)
+    return num
+
+
+def _cyclotomic_candidates(n: int) -> list[int]:
+    """All d with phi(d) <= n (so Phi_d can divide a degree-n char poly)."""
+    return [d for d in range(1, 2 * n * n + 2) if euler_phi(d) <= n]
+
+
+def cyclotomic_factorization(f: Polynomial, n: int) -> dict[int, int] | None:
+    """Factor f as a product of cyclotomic polynomials Phi_d, phi(d) <= n.
+
+    Returns {d: multiplicity} on success, None if a non-cyclotomic factor
+    remains.  Exact: all eigenvalue roots of unity iff the return is not None.
+    """
+    if f.is_zero or not f.is_monic or any(c.denominator != 1 for c in f.coeffs):
+        return None
+    factors: dict[int, int] = {}
+    rem = f
+    for d in _cyclotomic_candidates(n):
+        phi_d = cyclotomic_polynomial(d)
+        while rem.degree >= phi_d.degree:
+            q, r = divmod(rem, phi_d)
+            if not r.is_zero:
+                break
+            factors[d] = factors.get(d, 0) + 1
+            rem = q
+        if rem.degree == 0:
+            break
+    if rem.degree != 0 or rem.coeffs[0] != 1:
+        return None
+    return factors
+
+
+def cyclotomic_torsion_order(g: IntegerMatrix) -> int | None:
+    """Least m >= 1 with g^m = I, or None: the order, if finite, divides the
+    lcm of the cyclotomic indices of the characteristic polynomial, so
+    finitely many exact powers settle it."""
+    factors = cyclotomic_factorization(char_poly(g), g.n)
+    if factors is None:
+        return None
+    bound = lcm(*factors.keys())
+    eye = IntegerMatrix.identity(g.n)
+    if g**bound != eye:
+        return None
+    order = bound
+    for p, _ in factorize(bound):
+        while order % p == 0 and g ** (order // p) == eye:
+            order //= p
+    return order

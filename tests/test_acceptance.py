@@ -34,7 +34,7 @@ from congrusep.separate import (
 )
 from fractions import Fraction
 
-from helpers import gl2_box, mat_mul_mod, random_gl_element
+from helpers import mat_mul_mod, random_gl_element, unimodular_box
 
 U = IntegerMatrix([[1, 1], [0, 1]])
 NEG_I = IntegerMatrix([[-1, 0], [0, -1]])
@@ -138,7 +138,7 @@ def test_criterion_4_theorem_conclusion_sampling():
         avoid_conjugacy([IntegerMatrix([[1, 2], [0, 1]])], IntegerMatrix([[0, -1], [1, 0]])),
         avoid_conjugacy([], NEG_I),
     ]
-    box = gl2_box(2)
+    box = unimodular_box(2, 2)
     assert len(box) == 104  # the full determinant-±1 box with entries in [-2,2]
     for cert in certificates:
         image = modgrp.generate(
@@ -157,7 +157,7 @@ def test_criterion_5_constructive_torsion_free_overgroup():
     cert = torsion_free_overgroup([U], torsion_class_table(2))
     image = modgrp.generate([modgrp.reduce(g, cert.m) for g in cert.gamma_gens])
     scanned = 0
-    for g in gl2_box(5):
+    for g in unimodular_box(2, 5):
         order = torsion_order(g)
         if order is None or order == 1:
             continue  # the identity lies in every congruence image

@@ -15,16 +15,22 @@ from congrusep.exactlin import (
 from congrusep.jordan import (
     bounded_words,
     conjugate_decomposition,
-    cyclotomic_factorization,
-    cyclotomic_polynomial,
     euler_phi,
     is_semisimple,
     is_unipotent,
     is_virtually_unipotent_witness,
     jordan_decompose,
+    max_torsion_order,
     torsion_order,
 )
-from helpers import klein_bottle_lift, random_gl_element
+from helpers import (
+    cyclotomic_factorization,
+    cyclotomic_polynomial,
+    cyclotomic_torsion_order,
+    klein_bottle_lift,
+    random_gl_element,
+    unimodular_box,
+)
 
 I2 = RationalMatrix.identity(2)
 U = IntegerMatrix([[1, 1], [0, 1]])
@@ -227,7 +233,7 @@ def test_equivariance_random_sample():
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic machinery and torsion
+# cyclotomic oracle and torsion
 # ---------------------------------------------------------------------------
 
 
@@ -285,6 +291,30 @@ def test_torsion_order_is_least():
 
 def test_torsion_order_anosov_infinite():
     assert torsion_order(IntegerMatrix([[2, 1], [1, 1]])) is None
+
+
+def test_max_torsion_order_values():
+    assert [max_torsion_order(n) for n in range(1, 9)] == [2, 6, 6, 12, 12, 30, 30, 60]
+
+
+@pytest.mark.parametrize("n, bound", [(3, 1), (2, 3)])
+def test_minkowski_order_and_scan_match_cyclotomic_oracle(n, bound):
+    box = unimodular_box(n, bound)
+    assert box
+    for g in box:
+        assert torsion_order(g) == cyclotomic_torsion_order(g)
+        roots_of_unity = cyclotomic_factorization(char_poly(g), n) is not None
+        # the words of length <= 1 over {g} are I, g and g^-1, which share
+        # the property with g
+        assert is_virtually_unipotent_witness([g], 1) is roots_of_unity
+
+
+def test_torsion_order_bounded_cost_large_n():
+    n = 16
+    cycle = [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
+    assert torsion_order(IntegerMatrix(cycle)) == 16
+    cycle[0][0] = 1
+    assert torsion_order(IntegerMatrix(cycle)) is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import itertools
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +13,7 @@ from congrusep.errors import (
     ResourceError,
     ScheduleExhaustedError,
 )
-from congrusep.exactlin import IntegerMatrix, RationalMatrix
+from congrusep.exactlin import IntegerMatrix, Polynomial, RationalMatrix, char_poly
 from congrusep import modgrp
 from congrusep.separate import (
     SeparationCertificate,
@@ -25,13 +28,14 @@ from congrusep.separate import (
     verify_certificate,
     witness_prime,
 )
-from congrusep.jordan import torsion_order
+from congrusep.jordan import euler_phi, torsion_order
 from helpers import (
     brute_force_closure,
     brute_force_gl,
-    gl2_box,
+    cyclotomic_polynomial,
     klein_bottle_lift,
     mat_mul_mod,
+    unimodular_box,
 )
 
 U = IntegerMatrix([[1, 1], [0, 1]])
@@ -138,7 +142,7 @@ def test_exhaustion_for_non_virtually_unipotent_generator():
 def test_soundness_sampling_box():
     cert = avoid_conjugacy([U], NEG_I)
     image = modgrp.generate([modgrp.reduce(g, cert.m) for g in cert.gamma_gens])
-    for h in gl2_box(2):
+    for h in unimodular_box(2, 2):
         conj = h.unimodular_inverse() * cert.eta * h
         assert modgrp.reduce(conj, cert.m) not in image
 
@@ -322,6 +326,65 @@ def test_table_screen_catches_removed_class():
     assert any(torsion_order(g) == 4 for g in missing)
 
 
+def test_table_screen_rejects_modulus_below_two():
+    with pytest.raises(InputError):
+        validate_torsion_table(2, bound=1, moduli=(1, 5))
+
+
+def test_table_screen_without_moduli_matches_order_and_char_poly():
+    assert validate_torsion_table(2, bound=1, moduli=()) == []
+    table = torsion_class_table(2)
+    crippled = type(table)(
+        n=2, version="crippled", entries=tuple(e for e in table.entries if e != ROT4)
+    )
+    missing = validate_torsion_table(2, bound=1, moduli=(), table=crippled)
+    assert missing and all(torsion_order(g) == 4 for g in missing)
+
+
+def _cyclotomic_products(n):
+    """The distinct degree-n products of cyclotomic polynomials."""
+    indices = [d for d in range(1, 2 * n * n + 2) if euler_phi(d) <= n]
+    products = set()
+    for size in range(1, n + 1):
+        for ds in itertools.combinations_with_replacement(indices, size):
+            if sum(euler_phi(d) for d in ds) == n:
+                polys = (cyclotomic_polynomial(d) for d in ds)
+                products.add(math.prod(polys, start=Polynomial([1])))
+    return products
+
+
+@pytest.mark.parametrize("n, count", [(1, 2), (2, 6), (3, 10)])
+def test_table_char_polys_are_every_cyclotomic_product(n, count):
+    table_polys = {char_poly(e) for e in torsion_class_table(n).entries}
+    assert len(table_polys) == count
+    assert table_polys == _cyclotomic_products(n)
+
+
+def test_conjugacy_at_lcm_separates_reflections():
+    refl1 = IntegerMatrix([[1, 0], [0, -1]])
+    refl2 = IntegerMatrix([[0, 1], [1, 0]])
+    assert modgrp.is_conjugate_mod(refl1, refl2, 5)
+    assert modgrp.is_conjugate_mod(refl1, refl2, 9)
+    assert not modgrp.is_conjugate_mod(refl1, refl2, 360)
+
+
+def test_conjugacy_at_lcm_matches_every_modulus_on_screen_pairs():
+    buckets = {}
+    for t in torsion_class_table(3).entries:
+        buckets.setdefault((torsion_order(t), char_poly(t)), []).append(t)
+    pairs = []
+    for g in unimodular_box(3, 1):
+        order = torsion_order(g)
+        if order is not None:
+            pairs.extend((g, t) for t in buckets[order, char_poly(g)])
+    outcomes = set()
+    for g, t in random.Random(6).sample(pairs, 60):
+        joint = modgrp.is_conjugate_mod(g, t, 2520)
+        assert joint == all(modgrp.is_conjugate_mod(g, t, m) for m in (5, 7, 8, 9))
+        outcomes.add(joint)
+    assert outcomes == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # torsion_free_overgroup
 # ---------------------------------------------------------------------------
@@ -370,7 +433,7 @@ def test_torsion_free_rejects_infinite_order_rep():
 def test_torsion_free_certificate_excludes_torsion_box():
     cert = torsion_free_overgroup([U], torsion_class_table(2))
     image = modgrp.generate([modgrp.reduce(g, cert.m) for g in cert.gamma_gens])
-    for g in gl2_box(3):
+    for g in unimodular_box(2, 3):
         order = torsion_order(g)
         if order is not None and order > 1:
             assert modgrp.reduce(g, cert.m) not in image
