@@ -272,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="congrusep",
         description="Congruence-subgroup separation certificates for integer"
-                    " matrix groups.  The CONGRUSEP_BIT_BOUND environment"
-                    " variable overrides the Smith-reduction blow-up guard.",
+                    " matrix groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -603,12 +603,10 @@ def embed_affine(group: CrystGroup) -> list[IntegerMatrix]:
     return images
 
 
-def lift_to_gl(group: CrystGroup, op: Callable[[GLEmbedding], object] | None = None):
+def lift_to_gl(group: CrystGroup) -> GLEmbedding:
     """Embed the group together with all its semisimple factor
-    representatives into one GL(m+1, Z), sharing a single denominator.
-
-    With ``op`` given, delegates: returns ``op(embedding)``.  Otherwise
-    returns the GLEmbedding for the caller to feed into the separation
+    representatives into one GL(m+1, Z), sharing a single denominator, and
+    return the GLEmbedding for the caller to feed into the separation
     searches.
     """
     factors = semifactor_representatives(group)
@@ -623,13 +621,10 @@ def lift_to_gl(group: CrystGroup, op: Callable[[GLEmbedding], object] | None = N
     for img in gen_images + factor_images:
         if img.det() not in (1, -1):
             raise AssertionError("embedded element is not unimodular")
-    embedding = GLEmbedding(
+    return GLEmbedding(
         n=group.m + 1,
         denominator=denom,
         generators=gen_images,
         semifactors=factor_images,
         embed=lambda e: _embed_element(group, e, denom),
     )
-    if op is not None:
-        return op(embedding)
-    return embedding

@@ -19,7 +19,6 @@ exactness survives serialization).  Plain JSON integers are accepted on input.
 from __future__ import annotations
 
 import operator
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -33,26 +32,9 @@ from .errors import (
     SingularMatrixError,
 )
 
-#: Default ceiling (in bits) for any intermediate entry of the Smith normal
-#: form reduction.  Override per call or via the CONGRUSEP_BIT_BOUND env var.
-DEFAULT_BIT_BOUND = 10**6
-
-_ENV_BIT_BOUND = "CONGRUSEP_BIT_BOUND"
-
-
-def _resolve_bit_bound(bit_bound: int | None) -> int:
-    if bit_bound is not None:
-        return bit_bound
-    env = os.environ.get(_ENV_BIT_BOUND)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise InputError(f"{_ENV_BIT_BOUND} must be an integer, got {env!r}") from exc
-        if value <= 0:
-            raise InputError(f"{_ENV_BIT_BOUND} must be positive, got {value}")
-        return value
-    return DEFAULT_BIT_BOUND
+#: Ceiling (in bits) for any intermediate entry of the Smith normal form
+#: reduction.
+_BIT_BOUND = 10**6
 
 
 def _parse_exact(value) -> Fraction:
@@ -93,13 +75,15 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _faddeev_leverrier(rows: Sequence[Sequence[int]]) -> list[int]:
-    """[1, c1, ..., cn] with det(xI - A) = x^n + c1 x^(n-1) + ... + cn, for
-    a square integer matrix A given as rows.
+def _faddeev_leverrier(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """([1, c1, ..., cn], M_n) with det(xI - A) = x^n + c1 x^(n-1) + ... + cn,
+    for a square integer matrix A given as rows.
 
     Faddeev-LeVerrier: M_1 = I, c_k = -tr(A M_k) / k, M_(k+1) = A M_k + c_k I.
     Each M_k is an integer polynomial in A and each c_k is an integer, so
-    every division by k is exact in Z.
+    every division by k is exact in Z.  The recurrence is Horner's rule, so
+    M_n = A^(n-1) + c1 A^(n-2) + ... + c(n-1) I, and A M_n = -cn I by
+    Cayley-Hamilton.
     """
     n = len(rows)
     m = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -109,10 +93,11 @@ def _faddeev_leverrier(rows: Sequence[Sequence[int]]) -> list[int]:
         am = [[sum(a * b for a, b in zip(row, col)) for col in m_cols] for row in rows]
         c = -sum(am[i][i] for i in range(n)) // k
         coeffs.append(c)
-        for i in range(n):
-            am[i][i] += c
-        m = am
-    return coeffs
+        if k < n:
+            for i in range(n):
+                am[i][i] += c
+            m = am
+    return coeffs, m
 
 
 def _power(base, exponent: int, one, mul=operator.mul):
@@ -333,12 +318,19 @@ class IntegerMatrix:
         return det_int(self.entries)
 
     def unimodular_inverse(self) -> "IntegerMatrix":
-        """Inverse of a determinant-±1 matrix, computed exactly over Z."""
+        """Inverse of a determinant-±1 matrix, computed exactly over Z.
+
+        Cayley-Hamilton: with det(xI - A) = x^n + c1 x^(n-1) + ... + cn,
+        A^(-1) = -(A^(n-1) + c1 A^(n-2) + ... + c(n-1) I) / cn, the matrix
+        Faddeev-LeVerrier evaluates by Horner in Z on its way to cn; and
+        cn = (-1)^n det A = ±1, so dividing by cn is multiplying by it.
+        """
         d = self.det()
         if d not in (1, -1):
             raise PreconditionError(f"matrix is not unimodular: det = {d}")
-        inv = self.to_rational().inverse()
-        return inv.to_integer()
+        coeffs, horner = _faddeev_leverrier(self.entries)
+        scale = -coeffs[-1]
+        return IntegerMatrix([[scale * x for x in row] for row in horner])
 
     def inverse(self) -> "RationalMatrix":
         return self.to_rational().inverse()
@@ -754,10 +746,10 @@ def char_poly(a: RationalMatrix | IntegerMatrix) -> Polynomial:
     if not a.is_square:
         raise DimensionMismatchError(f"matrix is {a.rows}x{a.cols}, not square")
     if isinstance(a, IntegerMatrix):
-        coeffs = _faddeev_leverrier(a.entries)
+        coeffs, _ = _faddeev_leverrier(a.entries)
     else:
         d, rows = a._cleared()
-        coeffs = [Fraction(c, d**k) for k, c in enumerate(_faddeev_leverrier(rows))]
+        coeffs = [Fraction(c, d**k) for k, c in enumerate(_faddeev_leverrier(rows)[0])]
     return Polynomial(reversed(coeffs))
 
 
@@ -820,14 +812,14 @@ class SmithDecomposition:
         return tuple(d for d in (self.D.entries[i][i] for i in range(k)) if d != 0)
 
 
-def smith_normal_form(a: IntegerMatrix, bit_bound: int | None = None) -> SmithDecomposition:
+def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
     """Smith normal form by classical pivot-and-reduce.
 
     Pivots are chosen with minimal absolute value (ties broken by position),
     which keeps intermediate growth modest in practice.  Any intermediate
-    entry exceeding ``bit_bound`` bits aborts with BitBoundExceededError.
+    entry exceeding ``_BIT_BOUND`` bits aborts with BitBoundExceededError.
     """
-    bound = _resolve_bit_bound(bit_bound)
+    bound = _BIT_BOUND
     rows, cols = a.rows, a.cols
     m = [list(row) for row in a.entries]
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]

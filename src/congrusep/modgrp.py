@@ -541,7 +541,7 @@ def char_coeffs_mod(entries: tuple[int, ...], n: int, m: int) -> tuple[int, ...]
     principal k×k minors and c_k the coefficient of t^(n-k) in det(tI - x):
     a cheap conjugation invariant used to screen intersections.
     """
-    coeffs = _faddeev_leverrier(_rows(entries, n))
+    coeffs, _ = _faddeev_leverrier(_rows(entries, n))
     return tuple((-c if k % 2 else c) % m for k, c in enumerate(coeffs) if k)
 
 
@@ -581,61 +581,39 @@ def padic_level_image(
 # ---------------------------------------------------------------------------
 
 
-def _fp_row_basis(vectors: list[list[int]], p: int) -> list[list[int]]:
-    """Row-reduce vectors over F_p, returning a basis of their span."""
-    rows = [[x % p for x in v] for v in vectors]
-    basis: list[list[int]] = []
-    width = len(rows[0]) if rows else 0
-    pivot_cols: list[int] = []
-    for row in rows:
-        cur = row[:]
-        for b, c in zip(basis, pivot_cols):
-            if cur[c]:
-                f = cur[c]
-                cur = [(x - f * y) % p for x, y in zip(cur, b)]
-        lead = next((c for c in range(width) if cur[c]), None)
-        if lead is None:
-            continue
-        inv = pow(cur[lead], -1, p)
-        cur = [x * inv % p for x in cur]
-        basis.append(cur)
-        pivot_cols.append(lead)
-    return basis
+#: Most projective candidates one mod-p scan of ``_conjugate_mod_prime_power``
+#: may need; a larger scan raises ResourceError before it starts.
+_SCAN_BUDGET = 2 * 10**6
 
 
 def _conjugate_mod_prime_power(
-    snf: exactlin.SmithDecomposition, n: int, p: int, e: int, budget: int
+    snf: exactlin.SmithDecomposition, n: int, p: int, e: int
 ) -> bool:
     """Exact conjugacy decision in GL(n, Z/p^e), given the Smith normal form
-    of the integral operator X -> X a - b X on n x n matrices.
+    U * op * V = D of the integral operator op : X -> X a - b X on n x n
+    matrices.
 
-    The X with X a = b X mod p^e form a module S read off that Smith form.
-    X in S is a unit mod p^e iff its reduction mod p is a unit, and S's
-    reduction mod p is an F_p-subspace: the decision reduces to scanning
-    that subspace (projective representatives, early exit) for a
-    nonsingular matrix.
+    The X with X a = b X mod q, q = p^e, form the module S = ker(op mod q).
+    U is unimodular, so op x = 0 mod q iff d_i y_i = 0 mod q for every i,
+    where y = V^(-1) x: y_i ranges over (q / gcd(d_i, q)) Z/q.  Reduced mod
+    p, only the y_i with q | d_i survive (d_i = 0 counts), and the columns
+    of V stay linearly independent mod p because V is unimodular.  Hence the
+    reduction of S mod p is the F_p-span of {V e_i : q | d_i}, of dimension
+    r = #{i : q | d_i}.  X in S is a unit mod q iff its reduction mod p is,
+    so the decision scans that span (projective representatives, early
+    exit) for a nonsingular matrix.
     """
     q = p**e
     nn = n * n
-    v = snf.V.entries
-    module_gens = []
-    for i in range(nn):
-        d = snf.D.entries[i][i]
-        g = gcd(d, q) if d != 0 else q
-        if g == 1:
-            continue  # only the zero coset, contributes nothing mod p
-        step = q // g
-        module_gens.append([v[r][i] * step % q for r in range(nn)])
-    if not module_gens:
-        return False
-    span = _fp_row_basis(module_gens, p)
+    v, d = snf.V.entries, snf.D.entries
+    span = [[v[k][i] % p for k in range(nn)] for i in range(nn) if d[i][i] % q == 0]
     r = len(span)
     if r == 0:
         return False
     combos = (p**r - 1) // (p - 1)
-    if combos > budget:
+    if combos > _SCAN_BUDGET:
         raise ResourceError(
-            f"conjugacy scan needs {combos} combinations mod {p}, budget is {budget}"
+            f"conjugacy scan needs {combos} combinations mod {p}, budget is {_SCAN_BUDGET}"
         )
     # scan projective representatives: first nonzero coefficient equals 1
     for lead in range(r):
@@ -651,15 +629,13 @@ def _conjugate_mod_prime_power(
     return False
 
 
-def is_conjugate_mod(
-    a: IntegerMatrix, b: IntegerMatrix, m: int, budget: int = 2 * 10**6
-) -> bool:
+def is_conjugate_mod(a: IntegerMatrix, b: IntegerMatrix, m: int) -> bool:
     """Decide whether a and b are conjugate in GL(n, Z/m), exactly.
 
     Decomposes m into prime powers (conjugacy mod m holds iff it holds mod
     every prime-power factor) and decides each factor via the solution module
     of X a = b X, from one Smith normal form of the operator X -> X a - b X.
-    Raises ResourceError when a scan would exceed ``budget`` candidate
+    Raises ResourceError when a scan would exceed ``_SCAN_BUDGET`` candidate
     combinations; never returns a wrong answer.
     """
     n = a.n
@@ -679,4 +655,4 @@ def is_conjugate_mod(
         for c in range(n)
     ])
     snf = exactlin.smith_normal_form(op)
-    return all(_conjugate_mod_prime_power(snf, n, p, e, budget) for p, e in factors)
+    return all(_conjugate_mod_prime_power(snf, n, p, e) for p, e in factors)

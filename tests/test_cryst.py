@@ -349,8 +349,3 @@ def test_pipeline_klein_bottle_torsion_free():
     table = separate.torsion_class_table(3)
     cert = separate.torsion_free_overgroup(list(emb.generators), table)
     assert separate.verify_certificate(cert)
-
-
-def test_lift_to_gl_delegation():
-    result = lift_to_gl(klein_bottle(), op=lambda emb: emb.n)
-    assert result == 3

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from congrusep import exactlin
 from congrusep.errors import (
     BitBoundExceededError,
     DimensionMismatchError,
     InputError,
+    PreconditionError,
     ResourceError,
     SingularMatrixError,
 )
@@ -122,6 +124,20 @@ def test_random_unimodular_inverse_roundtrip():
         n = rng.choice([2, 3, 4])
         g = random_gl_element(rng, n).to_rational()
         assert g * g.inverse() == RationalMatrix.identity(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 12), st.randoms(use_true_random=False))
+def test_unimodular_inverse_is_the_rational_inverse(n, word_len, rng):
+    g = random_gl_element(rng, n, word_len)
+    inv = g.unimodular_inverse()
+    assert g * inv == inv * g == IntegerMatrix.identity(n)
+    assert inv.to_rational() == g.to_rational().inverse()
+
+
+def test_unimodular_inverse_rejects_det_two():
+    with pytest.raises(PreconditionError):
+        IntegerMatrix([[2, 1], [0, 1]]).unimodular_inverse()
 
 
 @settings(max_examples=200, deadline=None)
@@ -360,16 +376,11 @@ def test_snf_zero_matrix():
     assert snf.D == IntegerMatrix.zeros(2, 3)
 
 
-def test_snf_bit_bound_guard():
+def test_snf_bit_bound_guard(monkeypatch):
+    monkeypatch.setattr(exactlin, "_BIT_BOUND", 8)
     a = IntegerMatrix([[2**40, 1], [1, 2**40]])
     with pytest.raises(BitBoundExceededError):
-        smith_normal_form(a, bit_bound=8)
-
-
-def test_snf_env_override(monkeypatch):
-    monkeypatch.setenv("CONGRUSEP_BIT_BOUND", "8")
-    with pytest.raises(BitBoundExceededError):
-        smith_normal_form(IntegerMatrix([[2**40, 1], [1, 2**40]]))
+        smith_normal_form(a)
 
 
 # ---------------------------------------------------------------------------

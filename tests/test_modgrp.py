@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from congrusep import modgrp
 from congrusep.errors import (
     DimensionMismatchError,
     InputError,
@@ -402,7 +403,7 @@ def test_crt_consistency():
 def test_is_conjugate_mod_agrees_with_orbits():
     rng = random.Random(0xC09)
     mats = [random_gl_element(rng, 2) for _ in range(6)]
-    for m in (2, 3, 4, 5):
+    for m in (2, 3, 4, 5, 8, 9):
         for a in mats[:3]:
             cls = conj_class(reduce(a, m))
             for b in mats:
@@ -415,3 +416,11 @@ def test_is_conjugate_mod_reflections():
     assert is_conjugate_mod(refl1, refl2, 5)
     assert is_conjugate_mod(refl1, refl2, 9)
     assert not is_conjugate_mod(refl1, refl2, 8)
+
+
+def test_is_conjugate_mod_scan_budget(monkeypatch):
+    monkeypatch.setattr(modgrp, "_SCAN_BUDGET", 0)
+    refl1 = IntegerMatrix([[1, 0], [0, -1]])
+    refl2 = IntegerMatrix([[0, 1], [1, 0]])
+    with pytest.raises(ResourceError):
+        is_conjugate_mod(refl1, refl2, 5)
