@@ -175,10 +175,7 @@ def _full_elements(cert, config: RunConfig):
         m=cert.m,
     )
     cls = modgrp.conj_class(modgrp.reduce(cert.eta, cert.m), config.element_cap)
-    return (
-        modgrp._sorted_rows(image.elements, cert.n),
-        modgrp._sorted_rows(cls.orbit, cert.n),
-    )
+    return image.to_json_dict(full=True)["elements"], cls.to_json_dict(full=True)["elements"]
 
 
 def _cmd_torsion_free(args) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from math import lcm, prod
+from math import comb, lcm, prod
 
 from .errors import PreconditionError, SingularMatrixError
 from .exactlin import (
@@ -260,9 +260,10 @@ def is_virtually_unipotent_witness(gens: list[IntegerMatrix], wordlen: int) -> b
     unipotent_part = min(3**c for c in range(n) if 3**c >= n)  # least 3^c >= n
     exponent = _orders_lcm(n) * unipotent_part
     bound = max_torsion_order(n) * unipotent_part
-    target = Polynomial([-1, 1]) ** n
+    # (x - 1)^n, ascending integer coefficients (-1)^(n-i) C(n, i)
+    target = tuple((-1) ** (n - i) * comb(n, i) for i in range(n + 1))
     for w in bounded_words(gens, wordlen):
         k = _order_mod3(w, exponent)
-        if k is None or k > bound or char_poly(w**k) != target:
+        if k is None or k > bound or char_poly(w**k).coeffs != target:
             return False
     return True

@@ -16,21 +16,28 @@ of elements is digested as SHA-256 over the newline-joined *sorted* list of
 encodings, making digests order-independent and certificates bit-checkable
 by any independent implementation.
 
-Inside this module a group element held in a set is its flat entry tuple
-(row-major residues in [0, m)), the body of that encoding: subgroups and
-classes are frozensets of tuples, and ``ModMatrix`` objects are made only
-for single elements such as generators and representatives.  Subgroups,
+Inside this module the element sets come in two formats.  A subgroup
+image (``ModMatrixGroup.elements``) holds each element as one packed int,
+the mixed-radix-m number of its row-major residues (``_pack``): it is the
+largest set the program builds, and an int costs about half a tuple.  A
+conjugacy class (``ConjClass.orbit``) holds flat entry tuples (row-major
+residues in [0, m)), the body of the encoding above, because its
+conjugation maps act on tuples and packing each candidate costs more time
+than the class saves in memory.  ``ModMatrix`` objects are made only for
+single elements such as generators and representatives.  Subgroups,
 classes and crystallographic holonomy groups are all closed by the one
-breadth-first loop ``_closure``.
+breadth-first loop ``_closure``; nothing outside this module reads either
+set directly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+from functools import partial
 from math import gcd
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import exactlin
 from .errors import (
@@ -53,27 +60,40 @@ from .exactlin import (
 DEFAULT_CAP = 10**7
 
 
-def _closure(start, maps, cap: int, what: str, stop=None) -> tuple[frozenset, bool]:
+def _closure(start, maps, cap: int, what: str, stop=None, key=None) -> tuple[set, bool]:
     """Breadth-first closure of {start} under the given maps.
 
     Returns (closure, False), or (partial, True) as soon as an element lies
     in ``stop`` (``start`` included).  More than ``cap`` elements raise
     ResourceError carrying the partial size; ``what`` names the computation
     in its message.
+
+    The maps act on elements as given; with ``key`` the returned set holds
+    ``key(y)`` for each element y instead of y (``stop`` is still tested on
+    y).  ``generate`` packs subgroup elements this way, while the frontier
+    keeps the entry tuples its products act on.  Orbits and holonomy groups
+    pass no key: an orbit packs one candidate per conjugation and unpacks
+    every element for its digest, so closing and digesting the 15,500
+    elements of the m = 5 class of the 3-cycle took 87-90 ms packed
+    against 45-50 ms as tuples (2 CPUs, Python 3.11.7).
+
+    The set is returned as built, not copied: a frozen copy would double
+    the hash table at the peak.  Callers never mutate it.
     """
-    seen = {start}
+    seen = {start if key is None else key(start)}
     if stop is not None and start in stop:
-        return frozenset(seen), True
+        return seen, True
     frontier = [start]
     while frontier:
         new_frontier = []
         for x in frontier:
             for f in maps:
                 y = f(x)
-                if y not in seen:
-                    seen.add(y)
+                k = y if key is None else key(y)
+                if k not in seen:
+                    seen.add(k)
                     if stop is not None and y in stop:
-                        return frozenset(seen), True
+                        return seen, True
                     if len(seen) > cap:
                         raise ResourceError(
                             f"element budget {cap} exceeded while {what}",
@@ -81,7 +101,7 @@ def _closure(start, maps, cap: int, what: str, stop=None) -> tuple[frozenset, bo
                         )
                     new_frontier.append(y)
         frontier = new_frontier
-    return frozenset(seen), False
+    return seen, False
 
 
 def _product(a: tuple[int, ...], b: tuple[int, ...], n: int, m: int) -> tuple[int, ...]:
@@ -101,10 +121,22 @@ def _rows(entries: Sequence[int], n: int) -> list[list[int]]:
     return [list(entries[i : i + n]) for i in range(0, n * n, n)]
 
 
-def _sorted_rows(elements: Iterable[tuple[int, ...]], n: int) -> list[list[list[int]]]:
-    """Entry tuples in sorted order, each split into rows: the same order as
-    sorting the row lists."""
-    return [_rows(x, n) for x in sorted(elements)]
+def _pack(entries: Iterable[int], m: int) -> int:
+    """The mixed-radix-m number sum e_k m^(n^2 - 1 - k) of row-major
+    residues e_k in [0, m), by Horner's rule.  Packing is injective, and
+    packed ints sort as their entry tuples do."""
+    x = 0
+    for e in entries:
+        x = x * m + e
+    return x
+
+
+def _unpack(x: int, n: int, m: int) -> tuple[int, ...]:
+    """The entry tuple that ``_pack`` made x from."""
+    out = [0] * (n * n)
+    for k in range(n * n - 1, -1, -1):
+        x, out[k] = divmod(x, m)
+    return tuple(out)
 
 
 class DenominatorNotUnitError(PreconditionError):
@@ -250,13 +282,15 @@ def reduce(g: IntegerMatrix | RationalMatrix, m: int) -> ModMatrix:
 class ModMatrixGroup:
     """The subgroup of GL(n, Z/m) generated by a finite set of elements.
 
-    Carries the complete element set as entry tuples; membership is a hash
-    lookup.
+    ``elements`` is the complete element set, each element packed into one
+    int by ``_pack``; it is the set ``_closure`` built, never mutated
+    afterwards.  Callers go through ``entry_tuples``, ``in`` and
+    ``isdisjoint``, which keep the format inside this module.
     """
 
     __slots__ = ("n", "m", "generators", "elements", "_digest")
 
-    def __init__(self, n: int, m: int, generators: tuple[ModMatrix, ...], elements: frozenset[tuple[int, ...]]):
+    def __init__(self, n: int, m: int, generators: tuple[ModMatrix, ...], elements: set[int]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "generators", generators)
@@ -270,26 +304,44 @@ class ModMatrixGroup:
     def size(self) -> int:
         return len(self.elements)
 
+    def entry_tuples(self) -> Iterator[tuple[int, ...]]:
+        """The elements as flat entry tuples, unpacked one at a time."""
+        return map(partial(_unpack, n=self.n, m=self.m), self.elements)
+
     def __contains__(self, x: ModMatrix) -> bool:
-        return x.n == self.n and x.m == self.m and x.entries in self.elements
+        return (
+            x.n == self.n and x.m == self.m and _pack(x.entries, self.m) in self.elements
+        )
+
+    def isdisjoint(self, cls: "ConjClass") -> bool:
+        """True iff no element of the group lies in the class.  Converts
+        the smaller side: group elements are unpacked into lookups in the
+        orbit, or orbit tuples packed into lookups in the group."""
+        if cls.n != self.n or cls.m != self.m:
+            return True
+        if len(self.elements) <= len(cls.orbit):
+            return cls.orbit.isdisjoint(self.entry_tuples())
+        return self.elements.isdisjoint(map(partial(_pack, m=self.m), cls.orbit))
 
     def digest(self) -> str:
         d = self._digest
         if d is None:
-            d = elements_digest(self.n, self.m, self.elements)
+            d = elements_digest(self.n, self.m, self.entry_tuples())
             object.__setattr__(self, "_digest", d)
         return d
 
     def to_json_dict(self, full: bool = False) -> dict:
+        n, m = self.n, self.m
         data = {
-            "n": self.n,
-            "m": self.m,
+            "n": n,
+            "m": m,
             "generators": [g.to_lists() for g in self.generators],
             "size": self.size,
             "elements_digest": self.digest(),
         }
         if full:
-            data["elements"] = _sorted_rows(self.elements, self.n)
+            # packed ints sort as their entry tuples do
+            data["elements"] = [_rows(_unpack(x, n, m), n) for x in sorted(self.elements)]
         return data
 
 
@@ -319,7 +371,9 @@ def generate(
         lambda x, t=t.entries: _product(x, t, n, m) for t in dict.fromkeys(gens)
     ]
     identity = ModMatrix.identity(n, m).entries
-    elements, _ = _closure(identity, multipliers, cap, "generating subgroup")
+    elements, _ = _closure(
+        identity, multipliers, cap, "generating subgroup", key=partial(_pack, m=m)
+    )
     return ModMatrixGroup(n, m, gens, elements)
 
 
@@ -407,12 +461,15 @@ def gl_order(n: int, m: int) -> int:
 
 
 class ConjClass:
-    """The full GL(n, Z/m)-conjugacy orbit of a representative, as entry
-    tuples."""
+    """The full GL(n, Z/m)-conjugacy orbit of a representative.
+
+    ``orbit`` holds flat entry tuples; it is the set ``_closure`` built,
+    never mutated afterwards.
+    """
 
     __slots__ = ("n", "m", "representative", "orbit", "_digest")
 
-    def __init__(self, representative: ModMatrix, orbit: frozenset[tuple[int, ...]]):
+    def __init__(self, representative: ModMatrix, orbit: set[tuple[int, ...]]):
         object.__setattr__(self, "n", representative.n)
         object.__setattr__(self, "m", representative.m)
         object.__setattr__(self, "representative", representative)
@@ -445,7 +502,7 @@ class ConjClass:
             "elements_digest": self.digest(),
         }
         if full:
-            data["elements"] = _sorted_rows(self.orbit, self.n)
+            data["elements"] = [_rows(x, self.n) for x in sorted(self.orbit)]
         return data
 
 
@@ -502,7 +559,7 @@ def _conjugation_by(t: ModMatrix) -> Callable[[tuple[int, ...]], tuple[int, ...]
 
 def _orbit_expand(
     rep: ModMatrix, cap: int, stop_inside: frozenset[tuple[int, ...]] | None = None
-) -> tuple[frozenset[tuple[int, ...]], bool]:
+) -> tuple[set[tuple[int, ...]], bool]:
     """BFS conjugation orbit of rep, as entry tuples, under x -> t^(-1) x t
     for t in ``gl_generators``.  With ``stop_inside`` (a set of entry
     tuples) given, aborts as soon as an orbit element lies in that set,

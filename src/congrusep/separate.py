@@ -235,7 +235,7 @@ def _cc_index(image: modgrp.ModMatrixGroup) -> dict[tuple, frozenset]:
     conjugation invariant): the only candidates for meeting a class."""
     n, m = image.n, image.m
     index: dict[tuple, list] = {}
-    for x in image.elements:
+    for x in image.entry_tuples():
         index.setdefault(modgrp.char_coeffs_mod(x, n, m), []).append(x)
     return {key: frozenset(vals) for key, vals in index.items()}
 
@@ -304,6 +304,7 @@ def avoid_conjugacy(
                 image_digest=image.digest(),
                 class_digest=cls.digest(),
             )
+        del image  # before the next modulus builds its image
     raise ScheduleExhaustedError(
         f"no separating modulus found in schedule (largest tried: {schedule[-1]})",
         largest_tried=schedule[-1],
@@ -341,8 +342,11 @@ def witness_prime(
         ((p**k, p, k) for p in primes for k in range(1, level_budget + 1))
     )
     for modulus, p, level in levels:
-        image = modgrp.padic_level_image(gamma_gens, p, level, cap, n=n)
-        if modgrp.reduce(factor, modulus) not in image:
+        # no reference outlives the test, so the next level builds its image
+        # after this one is freed
+        if modgrp.reduce(factor, modulus) not in modgrp.padic_level_image(
+            gamma_gens, p, level, cap, n=n
+        ):
             return WitnessPrime(
                 factor=factor, prime=p, level=level, reason="image-escape"
             )
@@ -447,7 +451,7 @@ def torsion_free_overgroup(
         if cls is None:
             cls = modgrp.conj_class(rep_mod, cap)
             probes[rep_mod] = (True, cls)
-        if not image_at(m_rep).elements.isdisjoint(cls.orbit):
+        if not image_at(m_rep).isdisjoint(cls):
             raise AssertionError(
                 "per-representative modulus failed re-verification; the"
                 " fail-fast probe and the full orbit disagree"
@@ -590,7 +594,7 @@ def verify_certificate(
         cls = modgrp.conj_class(modgrp.reduce(cert.eta, m), cap)
         if cls.size != cert.class_size or cls.digest() != cert.class_digest:
             return False
-        return image.elements.isdisjoint(cls.orbit)
+        return image.isdisjoint(cls)
     recorded = {e.rep: e for e in cert.per_rep}
     divisor_images: dict[int, modgrp.ModMatrixGroup] = {}
     # one class per distinct reduced representative (the modulus is part of
@@ -619,7 +623,7 @@ def verify_certificate(
         cls = classes[rep_mod]
         if cls.size != evidence.class_size or cls.digest() != evidence.class_digest:
             return False
-        if not divisor_images[m_rep].elements.isdisjoint(cls.orbit):
+        if not divisor_images[m_rep].isdisjoint(cls):
             return False
     # evidence for reps not in the table would be meaningless
     return all(e.rep in cert.torsion_reps for e in cert.per_rep)

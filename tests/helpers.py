@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -97,6 +98,17 @@ def brute_force_closure(gens: list[tuple], n: int, m: int) -> set[tuple]:
         if not new:
             return elements
         elements |= new
+
+
+def traced_peak(run) -> int:
+    """Peak bytes tracemalloc sees while run() executes (deterministic for
+    one Python build)."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def leibniz_det(rows):

@@ -257,8 +257,10 @@ def test_criterion_8_tower_of_two_adic_images():
         image = modgrp.padic_level_image([U], 2, level)
         sizes.append(image.size)
         if previous is not None:
-            projected = {tuple(v % 2 ** (level - 1) for v in x) for x in image.elements}
-            assert projected == set(previous.elements)
+            projected = {
+                tuple(v % 2 ** (level - 1) for v in x) for x in image.entry_tuples()
+            }
+            assert projected == set(previous.entry_tuples())
         previous = image
     assert sizes == [2, 4, 8, 16]
     _report(8, "levels 1..4 have sizes 2,4,8,16 and each projects onto the last")

@@ -18,6 +18,8 @@ from congrusep.modgrp import (
     DenominatorNotUnitError,
     _conjugation_by,
     _orbit_expand,
+    _pack,
+    _unpack,
     ModMatrix,
     char_coeffs_mod,
     conj_class,
@@ -37,6 +39,7 @@ from helpers import (
     mat_mul_mod,
     principal_minor_sums,
     random_gl_element,
+    traced_peak,
 )
 
 U = IntegerMatrix([[1, 1], [0, 1]])
@@ -128,7 +131,7 @@ def test_generate_sl2_mod2():
     assert grp.size == 6
     # oracle: brute-force closure over flat tuples
     oracle = brute_force_closure([tuple(reduce(U, 2).entries), tuple(reduce(L, 2).entries)], 2, 2)
-    assert grp.elements == oracle
+    assert set(grp.entry_tuples()) == oracle
     rows = sorted([list(x[:2]), list(x[2:])] for x in oracle)
     assert grp.to_json_dict(full=True)["elements"] == rows
 
@@ -167,7 +170,7 @@ def test_group_digest_deterministic():
     b = generate([reduce(U, 5)])
     assert a.digest() == b.digest()
     assert a.to_json_dict()["elements_digest"] == b.digest()
-    assert elements_digest(a.n, a.m, a.elements) == a.digest()
+    assert elements_digest(a.n, a.m, a.entry_tuples()) == a.digest()
 
 
 def test_group_and_class_json_shapes():
@@ -378,8 +381,8 @@ def test_tower_projection_is_onto():
     for k in range(1, 4):
         higher = padic_level_image([U, L], 2, k + 1)
         lower = padic_level_image([U, L], 2, k)
-        projected = {tuple(v % 2**k for v in x) for x in higher.elements}
-        assert projected == set(lower.elements)
+        projected = {tuple(v % 2**k for v in x) for x in higher.entry_tuples()}
+        assert projected == set(lower.entry_tuples())
 
 
 def test_crt_consistency():
@@ -387,12 +390,62 @@ def test_crt_consistency():
     grp4 = generate([reduce(U, 4)])
     grp3 = generate([reduce(U, 3)])
     pairs = {
-        (tuple(v % 4 for v in x), tuple(v % 3 for v in x)) for x in grp12.elements
+        (tuple(v % 4 for v in x), tuple(v % 3 for v in x))
+        for x in grp12.entry_tuples()
     }
     assert len(pairs) == grp12.size  # the CRT map is injective
     assert grp12.size <= grp4.size * grp3.size
-    assert {p for p, _ in pairs} == set(grp4.elements)
-    assert {q for _, q in pairs} == set(grp3.elements)
+    assert {p for p, _ in pairs} == set(grp4.entry_tuples())
+    assert {q for _, q in pairs} == set(grp3.entry_tuples())
+
+
+# ---------------------------------------------------------------------------
+# packed subgroup elements
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _entry_tuples(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.sampled_from([2, 5, 12, 2**64 + 13]))
+    entry = st.integers(0, m - 1)
+    tuples = draw(st.lists(st.tuples(*[entry] * (n * n)), min_size=1, max_size=8))
+    return n, m, tuples
+
+
+@settings(max_examples=200, deadline=None)
+@given(_entry_tuples())
+def test_pack_round_trips_and_keeps_tuple_order(case):
+    n, m, tuples = case
+    for x in tuples:
+        assert _unpack(_pack(x, m), n, m) == x
+    packed = sorted(_pack(x, m) for x in tuples)
+    assert [_unpack(x, n, m) for x in packed] == sorted(tuples)
+
+
+def test_isdisjoint_matches_tuple_sets():
+    seen = set()
+    for gens in ([U], [U, L], [NEG_I]):
+        grp = generate([reduce(g, 5) for g in gens])
+        for rep in (U, NEG_I, IntegerMatrix([[0, -1], [1, 0]])):
+            cls = conj_class(reduce(rep, 5))
+            expected = set(grp.entry_tuples()).isdisjoint(cls.orbit)
+            assert grp.isdisjoint(cls) == expected
+            seen.add((grp.size > cls.size, expected))
+    # either side larger, with either answer
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    # another modulus shares no element
+    assert generate([reduce(U, 5)]).isdisjoint(conj_class(reduce(U, 4)))
+
+
+@pytest.mark.parametrize("p, level", [(13, 4), (7, 5), (23, 3)])
+def test_padic_image_peak_bytes_per_element(p, level):
+    # each element is held once, as a packed int: tuples held in a frozen
+    # copy of the closure set peaked at 190-214 bytes per element
+    images = []
+    peak = traced_peak(lambda: images.append(padic_level_image([U], p, level)))
+    assert images[0].size == p**level
+    assert peak / p**level <= 130
 
 
 # ---------------------------------------------------------------------------

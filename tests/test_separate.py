@@ -35,6 +35,7 @@ from helpers import (
     cyclotomic_polynomial,
     klein_bottle_lift,
     mat_mul_mod,
+    traced_peak,
     unimodular_box,
 )
 
@@ -207,7 +208,7 @@ def test_certificate_disjointness_by_independent_conjugacy_route():
         image = modgrp.generate(
             [modgrp.reduce(g, evidence.modulus) for g in cert.gamma_gens]
         )
-        for x in image.elements:
+        for x in image.entry_tuples():
             lifted = IntegerMatrix([list(x[:2]), list(x[2:])])
             assert not is_conjugate_mod(lifted, evidence.rep, evidence.modulus)
 
@@ -217,7 +218,7 @@ def test_monotonicity_to_multiples():
     for multiple in (2 * cert.m, 3 * cert.m):
         image = modgrp.generate([modgrp.reduce(U, multiple)])
         cls = modgrp.conj_class(modgrp.reduce(NEG_I, multiple))
-        assert image.elements.isdisjoint(cls.orbit)
+        assert image.isdisjoint(cls)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +242,18 @@ def test_witness_prime_semiprime_denominator_is_bounded():
 def test_witness_prime_image_escape():
     w = witness_prime(NEG_I.to_rational(), [U])
     assert (w.prime, w.level, w.reason) == (3, 1, "image-escape")
+
+
+def test_witness_prime_frees_each_level_before_the_next():
+    # levels 13, 17, 13^2, 17^2, 13^3, 17^3: the identity lies in every
+    # image, so the schedule exhausts; holding the 13^3 image while the
+    # 17^3 one was built peaked at 1.39 times the 17^3 image alone
+    def exhaust():
+        with pytest.raises(ScheduleExhaustedError):
+            witness_prime(RationalMatrix.identity(2), [U], [13, 17], level_budget=3)
+
+    alone = traced_peak(lambda: modgrp.padic_level_image([U], 17, 3))
+    assert traced_peak(exhaust) <= 1.1 * alone
 
 
 def test_witness_prime_agrees_with_avoidance_modulus():
