@@ -175,7 +175,8 @@ def _full_elements(cert, config: RunConfig):
         m=cert.m,
     )
     cls = modgrp.conj_class(modgrp.reduce(cert.eta, cert.m), config.element_cap)
-    return image.to_json_dict(full=True)["elements"], cls.to_json_dict(full=True)["elements"]
+    # the search digested its own copies; the rows need no digest
+    return image._sorted_rows(), cls._sorted_rows()
 
 
 def _cmd_torsion_free(args) -> int:

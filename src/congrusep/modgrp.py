@@ -331,18 +331,22 @@ class ModMatrixGroup:
         return d
 
     def to_json_dict(self, full: bool = False) -> dict:
-        n, m = self.n, self.m
         data = {
-            "n": n,
-            "m": m,
+            "n": self.n,
+            "m": self.m,
             "generators": [g.to_lists() for g in self.generators],
             "size": self.size,
             "elements_digest": self.digest(),
         }
         if full:
-            # packed ints sort as their entry tuples do
-            data["elements"] = [_rows(_unpack(x, n, m), n) for x in sorted(self.elements)]
+            data["elements"] = self._sorted_rows()
         return data
+
+    def _sorted_rows(self) -> list[list[list[int]]]:
+        """The elements as row lists, in sorted order, without a digest."""
+        n, m = self.n, self.m
+        # packed ints sort as their entry tuples do
+        return [_rows(_unpack(x, n, m), n) for x in sorted(self.elements)]
 
 
 def generate(
@@ -502,8 +506,12 @@ class ConjClass:
             "elements_digest": self.digest(),
         }
         if full:
-            data["elements"] = [_rows(x, self.n) for x in sorted(self.orbit)]
+            data["elements"] = self._sorted_rows()
         return data
+
+    def _sorted_rows(self) -> list[list[list[int]]]:
+        """The orbit as row lists, in sorted order, without a digest."""
+        return [_rows(x, self.n) for x in sorted(self.orbit)]
 
 
 def _conjugation_by(t: ModMatrix) -> Callable[[tuple[int, ...]], tuple[int, ...]]:

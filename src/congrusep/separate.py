@@ -230,13 +230,18 @@ def dump_certificate(cert: SeparationCertificate | TorsionFreeCertificate) -> st
 # ---------------------------------------------------------------------------
 
 
-def _cc_index(image: modgrp.ModMatrixGroup) -> dict[tuple, frozenset]:
+def _cc_index(
+    image: modgrp.ModMatrixGroup, only: tuple | None = None
+) -> dict[tuple, frozenset]:
     """Image elements bucketed by char-poly coefficients mod m (a cheap
-    conjugation invariant): the only candidates for meeting a class."""
+    conjugation invariant): the only candidates for meeting a class.  With
+    ``only``, just the bucket under that key is built."""
     n, m = image.n, image.m
     index: dict[tuple, list] = {}
     for x in image.entry_tuples():
-        index.setdefault(modgrp.char_coeffs_mod(x, n, m), []).append(x)
+        key = modgrp.char_coeffs_mod(x, n, m)
+        if only is None or key == only:
+            index.setdefault(key, []).append(x)
     return {key: frozenset(vals) for key, vals in index.items()}
 
 
@@ -290,7 +295,9 @@ def avoid_conjugacy(
     for m in schedule:
         image = modgrp.generate([modgrp.reduce(g, m) for g in gamma_gens], cap, n=n, m=m)
         eta_mod = modgrp.reduce(eta, m)
-        disjoint, cls = _probe_disjoint(image, _cc_index(image), eta_mod, cap)
+        # one probe reads one bucket
+        bucket = _cc_index(image, only=modgrp.char_coeffs_mod(eta_mod.entries, n, m))
+        disjoint, cls = _probe_disjoint(image, bucket, eta_mod, cap)
         if disjoint:
             if cls is None:
                 cls = modgrp.conj_class(eta_mod, cap)
@@ -704,6 +711,23 @@ def torsion_class_table(n: int) -> TorsionTable:
     return TorsionTable(n=n, version=version, entries=tuple(entries))
 
 
+def _box_symmetries(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """Conjugation by each signed permutation matrix, as maps on flat
+    entry tuples.  For P e_j = s_j e_pi(j), the conjugate P^-1 g P has
+    entries s_i s_j g[pi(i)][pi(j)]; the map lists, for each flat entry,
+    the pair (index of the source entry, sign).  P and -P act alike, so
+    s_0 = 1 is fixed: the 2^(n-1) n! maps are distinct, the identity among
+    them."""
+    out = []
+    for perm in itertools.permutations(range(n)):
+        for tail in itertools.product((1, -1), repeat=n - 1):
+            s = (1,) + tail
+            out.append(tuple(
+                (perm[i] * n + perm[j], s[i] * s[j]) for i in range(n) for j in range(n)
+            ))
+    return out
+
+
 def validate_torsion_table(
     n: int,
     bound: int = 3,
@@ -714,9 +738,21 @@ def validate_torsion_table(
 
     Enumerates every torsion element of GL(n,Z) with entries in
     [-bound, bound] and returns those NOT conjugate mod every listed modulus
-    (each >= 2) to a table entry of the same order and char poly.  An empty
-    list is a pass.  The screen is necessary, not sufficient: it can expose a
-    missing class but cannot prove completeness.
+    (each >= 2) to a table entry of the same order and char poly, in
+    enumeration order.  An empty list is a pass.  The screen is necessary,
+    not sufficient: it can expose a missing class but cannot prove
+    completeness.
+
+    Each orbit of the box under conjugation by signed permutation matrices
+    is decided once.  For P e_j = s_j e_pi(j), g' = P^-1 g P has entries
+    g'[i][j] = s_i s_j g[pi(i)][pi(j)], so g' lies in the box whenever g
+    does, and being conjugate to g over Z it has the same det, trace,
+    trace of its square, torsion order and char poly.  P is invertible mod
+    every m, so g' is conjugate mod m to a table entry t iff g is.  Every
+    test below thus gives one answer on the whole orbit.  The enumeration
+    is lexicographic, so it reaches an orbit's minimum first; the decision
+    made there is kept for the orbit's later members until each is reached.
+    Members of an orbit that fails the det or trace filters are not kept.
     """
     from .exactlin import char_poly  # at call time, so a wrapper on it is seen
 
@@ -736,29 +772,40 @@ def validate_torsion_table(
             raise InputError("table entry has infinite order")
         buckets.setdefault((order, char_poly(entry)), []).append(entry)
 
+    symmetries = _box_symmetries(n)
+    # orbit members not reached yet -> whether they are unmatched
+    pending: dict[tuple[int, ...], bool] = {}
     unmatched = []
     values = range(-bound, bound + 1)
     for flat in itertools.product(values, repeat=n * n):
         rows = [flat[i * n : (i + 1) * n] for i in range(n)]
-        if det_int(rows) not in (1, -1):
-            continue
-        # torsion forces every eigenvalue onto the unit circle: |tr g^k| <= n
-        trace = sum(rows[i][i] for i in range(n))
-        if abs(trace) > n:
-            continue
-        sq_trace = sum(
-            sum(rows[i][k] * rows[k][i] for k in range(n)) for i in range(n)
-        )
-        if abs(sq_trace) > n:
-            continue
-        g = IntegerMatrix(rows)
-        order = torsion_order(g)
-        if order is None:
-            continue
-        candidates = buckets.get((order, char_poly(g)), [])
-        if not any(
-            not moduli or modgrp.is_conjugate_mod(g, t, joint) for t in candidates
-        ):
-            unmatched.append(g)
+        missing = pending.pop(flat, None)
+        if missing is None:
+            if det_int(rows) not in (1, -1):
+                continue
+            # torsion forces every eigenvalue onto the unit circle: |tr g^k| <= n
+            trace = sum(rows[i][i] for i in range(n))
+            if abs(trace) > n:
+                continue
+            sq_trace = sum(
+                sum(rows[i][k] * rows[k][i] for k in range(n)) for i in range(n)
+            )
+            if abs(sq_trace) > n:
+                continue
+            g = IntegerMatrix(rows)
+            order = torsion_order(g)
+            if order is None:
+                missing = False
+            else:
+                candidates = buckets.get((order, char_poly(g)), [])
+                missing = not any(
+                    not moduli or modgrp.is_conjugate_mod(g, t, joint)
+                    for t in candidates
+                )
+            for symmetry in symmetries:
+                mate = tuple(sign * flat[k] for k, sign in symmetry)
+                if mate > flat:
+                    pending[mate] = missing
+        if missing:
+            unmatched.append(IntegerMatrix(rows))
     return unmatched
-

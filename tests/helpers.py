@@ -13,9 +13,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
+from congrusep import modgrp
 from congrusep.cryst import AffineElement, CrystGroup, lift_to_gl
-from congrusep.exactlin import IntegerMatrix, Polynomial, char_poly, factorize
-from congrusep.jordan import euler_phi
+from congrusep.errors import InputError
+from congrusep.exactlin import IntegerMatrix, Polynomial, char_poly, det_int, factorize
+from congrusep.jordan import euler_phi, torsion_order
+from congrusep.separate import torsion_class_table
 
 
 def elementary_generators(n: int) -> list[IntegerMatrix]:
@@ -214,3 +217,64 @@ def cyclotomic_torsion_order(g: IntegerMatrix) -> int | None:
         while order % p == 0 and g ** (order // p) == eye:
             order //= p
     return order
+
+
+# ---------------------------------------------------------------------------
+# torsion-table screen oracle: every box element decided on its own
+# ---------------------------------------------------------------------------
+
+
+def screen_reference(
+    n: int, bound: int, moduli=(5, 7, 8, 9), table=None
+) -> list[IntegerMatrix]:
+    """``validate_torsion_table`` as it was before it decided each
+    signed-permutation orbit once: the same tests, run on every element."""
+    if any(m < 2 for m in moduli):
+        raise InputError("screen moduli must be >= 2")
+    joint = lcm(*moduli)
+    if table is None:
+        table = torsion_class_table(n)
+    buckets: dict[tuple, list[IntegerMatrix]] = {}
+    for entry in table.entries:
+        order = torsion_order(entry)
+        if order is None:
+            raise InputError("table entry has infinite order")
+        buckets.setdefault((order, char_poly(entry)), []).append(entry)
+
+    unmatched = []
+    values = range(-bound, bound + 1)
+    for flat in itertools.product(values, repeat=n * n):
+        rows = [flat[i * n : (i + 1) * n] for i in range(n)]
+        if det_int(rows) not in (1, -1):
+            continue
+        # torsion forces every eigenvalue onto the unit circle: |tr g^k| <= n
+        trace = sum(rows[i][i] for i in range(n))
+        if abs(trace) > n:
+            continue
+        sq_trace = sum(
+            sum(rows[i][k] * rows[k][i] for k in range(n)) for i in range(n)
+        )
+        if abs(sq_trace) > n:
+            continue
+        g = IntegerMatrix(rows)
+        order = torsion_order(g)
+        if order is None:
+            continue
+        candidates = buckets.get((order, char_poly(g)), [])
+        if not any(
+            not moduli or modgrp.is_conjugate_mod(g, t, joint) for t in candidates
+        ):
+            unmatched.append(g)
+    return unmatched
+
+
+def signed_permutation_matrices(n: int) -> list[IntegerMatrix]:
+    """Every n x n signed permutation matrix (2^n n! of them)."""
+    out = []
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            rows = [[0] * n for _ in range(n)]
+            for j in range(n):
+                rows[perm[j]][j] = signs[j]
+            out.append(IntegerMatrix(rows))
+    return out

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -163,6 +164,23 @@ def test_avoid_full_dump(capsys):
     data = json.loads(out)
     assert len(data["image_elements"]) == data["image_size"]
     assert len(data["class_elements"]) == data["class_size"]
+
+
+def test_avoid_full_digests_each_object_once(capsys, monkeypatch):
+    digested = []
+    digest = modgrp.elements_digest
+
+    def counting(n, m, elements):
+        digested.append(m)
+        return digest(n, m, elements)
+
+    monkeypatch.setattr(modgrp, "elements_digest", counting)
+    code, out, _ = run_cli(["avoid", U_GENS, NEG_I, "--full"], capsys)
+    assert code == 0
+    assert len(digested) == 2  # the search's image and class; the rows add none
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fc87a700ab1ee21b24036f607cc1cf2d27076124d5337b392586d93b99ab6844"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -5,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from congrusep.errors import (
     InputError,
@@ -35,6 +38,8 @@ from helpers import (
     cyclotomic_polynomial,
     klein_bottle_lift,
     mat_mul_mod,
+    screen_reference,
+    signed_permutation_matrices,
     traced_peak,
     unimodular_box,
 )
@@ -221,6 +226,22 @@ def test_monotonicity_to_multiples():
         assert image.isdisjoint(cls)
 
 
+def test_avoid_builds_only_the_probed_bucket():
+    # SL(2, Z/25) has 15,000 elements and generating it alone peaks at
+    # 102 B per element; indexing every bucket for one probe peaked at 194
+    gens = [U, IntegerMatrix([[1, 0], [1, 1]])]
+
+    def probe():
+        with pytest.raises(ScheduleExhaustedError):
+            avoid_conjugacy(gens, ROT4, [25])  # ROT4 lies in the image
+
+    assert traced_peak(probe) <= 120 * 15_000
+    cert = dump_certificate(avoid_conjugacy(gens, IntegerMatrix([[0, 1], [1, 0]]), [25]))
+    assert hashlib.sha256(cert.encode()).hexdigest() == (
+        "cf926062d91f7f69b56895ddd663baf25e3903777d6b7529805649d838ab43c4"
+    )
+
+
 # ---------------------------------------------------------------------------
 # witness_prime
 # ---------------------------------------------------------------------------
@@ -352,6 +373,67 @@ def test_table_screen_without_moduli_matches_order_and_char_poly():
     )
     missing = validate_torsion_table(2, bound=1, moduli=(), table=crippled)
     assert missing and all(torsion_order(g) == 4 for g in missing)
+
+
+NONSPLIT4 = IntegerMatrix([[-1, -1, -1], [1, 1, 0], [1, 0, 1]])
+SIGNED_PERMS_3 = signed_permutation_matrices(3)
+
+
+def _without(table, entry):
+    return type(table)(
+        n=table.n, version="dropped", entries=tuple(e for e in table.entries if e != entry)
+    )
+
+
+@pytest.mark.parametrize("moduli", [(5, 7, 8, 9), (), (3,)])
+def test_table_screen_matches_per_element_oracle(moduli):
+    full = torsion_class_table(2)
+    unmatched = 0
+    for table in [full] + [_without(full, e) for e in full.entries]:
+        got = validate_torsion_table(2, bound=2, moduli=moduli, table=table)
+        assert got == screen_reference(2, 2, moduli, table)
+        unmatched += len(got)
+    assert unmatched  # dropping an entry leaves elements unmatched
+
+
+def test_table_screen_n3_matches_oracle_without_nonsplit_order_four():
+    table = _without(torsion_class_table(3), NONSPLIT4)
+    got = validate_torsion_table(3, bound=1, table=table)
+    assert got and got == screen_reference(3, 1, table=table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    flat=st.lists(st.integers(-1, 1), min_size=9, max_size=9),
+    p=st.sampled_from(SIGNED_PERMS_3),
+)
+def test_signed_permutation_conjugates_share_every_screen_test(flat, p):
+    g = IntegerMatrix([flat[0:3], flat[3:6], flat[6:9]])
+    assume(g.det() in (1, -1))
+    h = p.unimodular_inverse() * g * p
+    assert all(abs(x) <= 1 for row in h.entries for x in row)
+    assert torsion_order(h) == torsion_order(g)
+    assert char_poly(h) == char_poly(g)
+    for t in torsion_class_table(3).entries:
+        if char_poly(t) == char_poly(g):
+            assert modgrp.is_conjugate_mod(h, t, 2520) == modgrp.is_conjugate_mod(g, t, 2520)
+
+
+def test_table_screen_decides_each_signed_permutation_orbit_once(monkeypatch):
+    decided = []
+    decide = modgrp.is_conjugate_mod
+
+    def recording(a, b, m):
+        if not decided or decided[-1] != a:  # one g meets several candidates
+            decided.append(a)
+        return decide(a, b, m)
+
+    monkeypatch.setattr(modgrp, "is_conjugate_mod", recording)
+    assert validate_torsion_table(3, bound=1) == []
+    assert decided
+    for i, g in enumerate(decided):
+        orbit = {p.unimodular_inverse() * g * p for p in SIGNED_PERMS_3}
+        assert not orbit.intersection(decided[i + 1 :])
 
 
 def _cyclotomic_products(n):
