@@ -339,6 +339,12 @@ def witness_prime(
     primes = list(default_prime_schedule() if prime_schedule is None else prime_schedule)
     if not primes:
         raise InputError("prime schedule is empty")
+    # checked before any image is built, not when a bad level comes up
+    if level_budget < 1:
+        raise InputError(f"level budget must be >= 1, got {level_budget}")
+    for p in primes:
+        if factorize(p) != [(p, 1)]:
+            raise InputError(f"{p} is not prime")
     denom = factor.denominator_lcm()
     if denom > 1:
         p = factorize(denom)[0][0]

@@ -310,8 +310,11 @@ def test_witness_prime_image_escape(capsys):
 
 def test_witness_prime_exhaustion_exit_code(capsys):
     identity = '{"n":2,"entries":[["1","0"],["0","1"]]}'
-    code, _, _ = run_cli(["witness-prime", identity, U_GENS], capsys)
+    code, out, err = run_cli(["witness-prime", identity, U_GENS], capsys)
     assert code == 4
+    assert out == ""
+    # the benchmark's padic-exhaust gate parses this line
+    assert err == "error: no witness prime at levels <= 4 for primes [2, 3, 5, 7, 11, 13, 17, 19, 23]\n"
 
 
 # ---------------------------------------------------------------------------

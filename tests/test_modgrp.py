@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 from math import gcd
@@ -19,6 +20,7 @@ from congrusep.modgrp import (
     _conjugation_by,
     _orbit_expand,
     _pack,
+    _right_multiplication,
     _unpack,
     ModMatrix,
     char_coeffs_mod,
@@ -134,6 +136,79 @@ def test_generate_sl2_mod2():
     assert set(grp.entry_tuples()) == oracle
     rows = sorted([list(x[:2]), list(x[2:])] for x in oracle)
     assert grp.to_json_dict(full=True)["elements"] == rows
+
+
+# factoring 2^64 + 12 for the units mod 2^64 + 13 takes about 0.2 s
+_gl_generators = functools.cache(gl_generators)
+
+
+@st.composite
+def _right_multiplication_cases(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.sampled_from([2, 5, 12, 2**64 + 13]))
+    entry = st.integers(0, m - 1)
+    x = draw(st.tuples(*[entry] * (n * n)))
+    kind = draw(st.sampled_from(["generator", "dense", "sparse"]))
+    if kind == "generator":
+        # GL(1, Z/2) is trivial and has no generator
+        t = draw(st.sampled_from(_gl_generators(n, m) + [ModMatrix.identity(n, m)]))
+        return x, t
+    if kind == "sparse":
+        entry = st.one_of(st.just(0), st.just(0), st.just(1), st.just(m - 1), entry)
+    # t need not be invertible: the map is x -> x t for any t
+    return x, ModMatrix._raw(n, m, draw(st.tuples(*[entry] * (n * n))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_right_multiplication_cases())
+def test_right_multiplication_matches_matrix_product(case):
+    entries, t = case
+    x = ModMatrix._raw(t.n, t.m, entries)
+    assert _right_multiplication(t)(x.entries) == (x * t).entries
+
+
+def _random_unit_matrix(rng, n, m, step=1):
+    """A random element of GL(n, Z/m) congruent to I mod ``step``."""
+    while True:
+        flat = [
+            (i % (n + 1) == 0) + step * rng.randrange(m // step) for i in range(n * n)
+        ]
+        try:
+            return ModMatrix(n, m, flat)
+        except PreconditionError:
+            pass
+
+
+# The oracle multiplies every pair, so the closures must stay small:
+# GL(2, Z/6) and GL(3, Z/2) have 288 and 168 elements, and the kernels
+# of reduction mod 2 and mod 3 in GL(2, Z/8) and GL(2, Z/9) have 256 and 81.
+@pytest.mark.parametrize(
+    "n, m, count, step",
+    [
+        (2, 6, 2, 1),
+        (3, 2, 2, 1),
+        (2, 8, 1, 1),
+        (2, 9, 1, 1),
+        (2, 8, 3, 2),
+        (2, 9, 3, 3),
+    ],
+)
+def test_generate_matches_brute_force_on_dense_generators(n, m, count, step):
+    rng = random.Random(f"{n}:{m}:{count}")
+    for _ in range(3):
+        gens = [_random_unit_matrix(rng, n, m, step) for _ in range(count)]
+        oracle = brute_force_closure([g.entries for g in gens], n, m)
+        assert set(generate(gens).entry_tuples()) == oracle
+
+
+def test_generate_never_calls_the_generic_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("generate multiplied through _product")
+
+    monkeypatch.setattr(modgrp, "_product", refuse)
+    assert generate([reduce(U, 5), reduce(L, 5)]).size == 120
+    for n, m in [(1, 7), (3, 2), (2, 12)]:
+        assert generate(gl_generators(n, m)).size == gl_order(n, m)
 
 
 def test_membership_checks_dimension_and_modulus():

@@ -288,6 +288,27 @@ def test_witness_prime_identity_exhausts():
         witness_prime(RationalMatrix.identity(2), [U], [2, 3], 2)
 
 
+def _no_images(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an image was built before the input was checked")
+
+    monkeypatch.setattr(modgrp, "padic_level_image", refuse)
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_witness_prime_rejects_level_budget_below_one(monkeypatch, budget):
+    _no_images(monkeypatch)
+    with pytest.raises(InputError, match="level budget"):
+        witness_prime(RationalMatrix.identity(2), [U], [2, 3], level_budget=budget)
+
+
+@pytest.mark.parametrize("schedule", [[2, 3, 4], [4, 2], [2, 1], [0]])
+def test_witness_prime_rejects_non_prime_before_any_level(monkeypatch, schedule):
+    _no_images(monkeypatch)
+    with pytest.raises(InputError, match="is not prime"):
+        witness_prime(RationalMatrix.identity(2), [U], schedule, level_budget=2)
+
+
 def test_witness_prime_requires_semisimple():
     with pytest.raises(PreconditionError):
         witness_prime(U.to_rational(), [U])
