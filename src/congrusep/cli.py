@@ -168,12 +168,7 @@ def _cmd_avoid(args) -> int:
 
 
 def _full_elements(cert, config: RunConfig):
-    image = modgrp.generate(
-        [modgrp.reduce(g, cert.m) for g in cert.gamma_gens],
-        config.element_cap,
-        n=cert.n,
-        m=cert.m,
-    )
+    image = modgrp.congruence_image(cert.gamma_gens, cert.m, config.element_cap, n=cert.n)
     cls = modgrp.conj_class(modgrp.reduce(cert.eta, cert.m), config.element_cap)
     # the search digested its own copies; the rows need no digest
     return image._sorted_rows(), cls._sorted_rows()

@@ -41,7 +41,7 @@ from .exactlin import (
     smith_normal_form,
     solve_integer_linear,
 )
-from .jordan import torsion_order
+from .jordan import _WORD_SCAN_BUDGET, torsion_order
 from .modgrp import _closure
 
 #: Closure budget for the holonomy group; far above any finite
@@ -50,8 +50,6 @@ HOLONOMY_BUDGET = 10**4
 
 #: Word length used to recover the translation lattice from group elements.
 DEFAULT_LATTICE_WORDLEN = 6
-
-_SCAN_ELEMENT_BUDGET = 10**5
 
 
 @dataclass(frozen=True)
@@ -210,7 +208,7 @@ class CrystGroup:
                     if wa in seen:
                         continue
                     seen.add(wa)
-                    if len(seen) > _SCAN_ELEMENT_BUDGET:
+                    if len(seen) > _WORD_SCAN_BUDGET:
                         raise ResourceError(
                             "word scan exceeded element budget", partial_size=len(seen)
                         )
@@ -435,16 +433,9 @@ def semifactor_representatives(group: CrystGroup) -> SemiFactorSet:
         basis_cols = [list(v) for v in moving] + [list(v) for v in fixed]
         basis_mat = RationalMatrix([list(col) for col in zip(*basis_cols)])
         basis_inv = basis_mat.inverse()
-        proj_rows = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                acc = Fraction(0)
-                for k in range(d):
-                    acc += basis_mat.entries[i][k] * basis_inv.entries[k][j]
-                row.append(acc)
-            proj_rows.append(row)
-        proj = RationalMatrix(proj_rows)
+        proj = RationalMatrix([row[:d] for row in basis_mat.entries]) * RationalMatrix(
+            basis_inv.entries[:d]
+        )
 
         # lattice of the moving subspace: SNF-reported quotient uses the
         # saturated sublattice L ∩ moving; the torsor uses proj(L)
@@ -453,12 +444,8 @@ def semifactor_representatives(group: CrystGroup) -> SemiFactorSet:
         m_sat = _matrix_in_basis(diff, sat_mat_cols)
         invariant_factors = smith_normal_form(m_sat).invariant_factors
 
-        proj_gens = []
-        for i in range(m):
-            e_i = [Fraction(0)] * m
-            e_i[i] = Fraction(1)
-            proj_gens.append(mat_vec(proj, e_i))
-        pi_basis = lattice_basis(proj_gens, m)
+        # proj(L) is spanned by the columns of proj
+        pi_basis = lattice_basis(list(zip(*proj.entries)), m)
         if len(pi_basis) != d:
             raise AssertionError("projected lattice rank mismatch")
         m_pi = _matrix_in_basis(diff, [list(v) for v in pi_basis])

@@ -100,6 +100,20 @@ def _faddeev_leverrier(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[l
     return coeffs, m
 
 
+def _adjugate_inverse(rows: Sequence[Sequence[int]], det_inverse: int) -> list[list[int]]:
+    """(-1)^(n+1) det_inverse * M_n, with M_n from ``_faddeev_leverrier``:
+    the inverse of the square integer matrix A given as rows, in any ring
+    where det_inverse inverts det A.  Over Z that needs det A = ±1, and
+    then det_inverse = det A; over Z/m the caller reduces the entries mod m.
+
+    A M_n = -cn I and cn = (-1)^n det A, so (-1)^(n+1) M_n is the adjugate.
+    This is the one inverse of integral and mod-m matrices; Gauss-Jordan
+    over Q (``RationalMatrix.inverse``) is for rational matrices only.
+    """
+    scale = det_inverse if len(rows) % 2 else -det_inverse
+    return [[scale * x for x in row] for row in _faddeev_leverrier(rows)[1]]
+
+
 def _power(base, exponent: int, one, mul=operator.mul):
     """base ** exponent for exponent >= 0 by square-and-multiply; ``mul`` is
     the product of base's ring and ``one`` its identity, never multiplied."""
@@ -174,21 +188,18 @@ def factorize(x: int) -> list[tuple[int, int]]:
     return out
 
 
-class IntegerMatrix:
-    """An immutable matrix with arbitrary-precision integer entries.
+class _ExactMatrix:
+    """Structure and arithmetic shared by IntegerMatrix and RationalMatrix.
 
-    Square matrices are the ambient arithmetic for GL(n,Z); rectangular ones
-    appear as lattice maps fed to the Smith normal form.
+    A subclass checks or coerces its entries and hands the row tuples to
+    ``__init__`` here; it names the operands its ring accepts in
+    ``_operand`` and its inverse for negative powers in ``_ring_inverse``.
+    Sums, differences and products have the subclass's type.
     """
 
     __slots__ = ("rows", "cols", "entries", "_hash")
 
-    def __init__(self, entries: Sequence[Sequence[int]]):
-        for row in entries:
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise InputError(f"integer matrix entry {x!r} is not an int")
-        rows = tuple(tuple(row) for row in entries)
+    def __init__(self, rows: tuple[tuple, ...]):
         if not rows or not rows[0]:
             raise InputError("matrix must have at least one row and one column")
         width = len(rows[0])
@@ -199,185 +210,27 @@ class IntegerMatrix:
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "_hash", None)
 
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("IntegerMatrix is immutable")
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
+    def identity(cls, n: int):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, rows: int, cols: int | None = None) -> "IntegerMatrix":
+    def zeros(cls, rows: int, cols: int | None = None):
         cols = rows if cols is None else cols
         return cls([[0] * cols for _ in range(rows)])
 
     @classmethod
-    def from_json_dict(cls, data) -> "IntegerMatrix":
-        mat = RationalMatrix.from_json_dict(data)
-        return mat.to_integer()
-
-    # -- basic structure ---------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        if self.rows != self.cols:
-            raise DimensionMismatchError(f"matrix is {self.rows}x{self.cols}, not square")
-        return self.rows
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        i, j = key
-        return self.entries[i][j]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntegerMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.rows, self.cols, self.entries))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __repr__(self) -> str:
-        body = ", ".join(str(list(row)) for row in self.entries)
-        return f"IntegerMatrix([{body}])"
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __mul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if not isinstance(other, IntegerMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise DimensionMismatchError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        b_cols = other.cols
-        out = []
-        for i in range(self.rows):
-            arow = self.entries[i]
-            out.append(
-                [
-                    sum(arow[k] * other.entries[k][j] for k in range(self.cols))
-                    for j in range(b_cols)
-                ]
-            )
-        return IntegerMatrix(out)
-
-    def __add__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if not isinstance(other, IntegerMatrix):
-            return NotImplemented
-        self._same_shape(other)
-        return IntegerMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __sub__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if not isinstance(other, IntegerMatrix):
-            return NotImplemented
-        self._same_shape(other)
-        return IntegerMatrix(
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __neg__(self) -> "IntegerMatrix":
-        return IntegerMatrix([[-x for x in row] for row in self.entries])
-
-    def __pow__(self, exponent: int) -> "IntegerMatrix":
-        n = self.n
-        if exponent < 0:
-            return self.unimodular_inverse() ** (-exponent)
-        return _power(self, exponent, IntegerMatrix.identity(n))
-
-    def _same_shape(self, other: "IntegerMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatchError(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
-
-    def det(self) -> int:
-        """Exact determinant via Bareiss fraction-free elimination."""
-        if not self.is_square:
-            raise DimensionMismatchError(f"matrix is {self.rows}x{self.cols}, not square")
-        return det_int(self.entries)
-
-    def unimodular_inverse(self) -> "IntegerMatrix":
-        """Inverse of a determinant-±1 matrix, computed exactly over Z.
-
-        Cayley-Hamilton: with det(xI - A) = x^n + c1 x^(n-1) + ... + cn,
-        A^(-1) = -(A^(n-1) + c1 A^(n-2) + ... + c(n-1) I) / cn, the matrix
-        Faddeev-LeVerrier evaluates by Horner in Z on its way to cn; and
-        cn = (-1)^n det A = ±1, so dividing by cn is multiplying by it.
-        """
-        d = self.det()
-        if d not in (1, -1):
-            raise PreconditionError(f"matrix is not unimodular: det = {d}")
-        coeffs, horner = _faddeev_leverrier(self.entries)
-        scale = -coeffs[-1]
-        return IntegerMatrix([[scale * x for x in row] for row in horner])
-
-    def inverse(self) -> "RationalMatrix":
-        return self.to_rational().inverse()
-
-    def to_rational(self) -> "RationalMatrix":
-        return RationalMatrix(self.entries)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "entries": [[str(x) for x in row] for row in self.entries],
-        }
-
-
-class RationalMatrix:
-    """An immutable matrix with exact rational entries (always reduced)."""
-
-    __slots__ = ("rows", "cols", "entries", "_hash")
-
-    def __init__(self, entries: Sequence[Sequence]):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
-        if not rows or not rows[0]:
-            raise InputError("matrix must have at least one row and one column")
-        width = len(rows[0])
-        if any(len(row) != width for row in rows):
-            raise InputError("ragged rows in matrix")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("RationalMatrix is immutable")
-
-    # -- construction ------------------------------------------------------
+    def _from_exact(cls, rows: list[list[Fraction]]):
+        """The matrix of the given exact rational rows."""
+        return cls(rows)
 
     @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int | None = None) -> "RationalMatrix":
-        cols = rows if cols is None else cols
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def from_json_dict(cls, data) -> "RationalMatrix":
+    def from_json_dict(cls, data):
         if not isinstance(data, dict):
             raise InputError("matrix JSON must be an object")
         try:
@@ -394,7 +247,13 @@ class RationalMatrix:
             if not isinstance(row, list) or len(row) != n:
                 raise InputError("matrix JSON entries must be an n x n array")
             parsed.append([_parse_exact(x) for x in row])
-        return cls(parsed)
+        return cls._from_exact(parsed)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "entries": [[str(x) for x in row] for row in self.entries],
+        }
 
     # -- basic structure ---------------------------------------------------
 
@@ -408,13 +267,13 @@ class RationalMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
+    def __getitem__(self, key: tuple[int, int]):
         i, j = key
         return self.entries[i][j]
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, RationalMatrix)
+            type(other) is type(self)
             and self.rows == other.rows
             and self.cols == other.cols
             and self.entries == other.entries
@@ -427,72 +286,125 @@ class RationalMatrix:
             object.__setattr__(self, "_hash", h)
         return h
 
-    def __repr__(self) -> str:
-        body = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.entries)
-        return f"RationalMatrix([{body}])"
-
     # -- arithmetic --------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, IntegerMatrix):
-            other = other.to_rational()
-        if not isinstance(other, RationalMatrix):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
         if self.cols != other.rows:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        out = []
-        for i in range(self.rows):
-            arow = self.entries[i]
-            out.append(
-                [
-                    sum(arow[k] * other.entries[k][j] for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-            )
-        return RationalMatrix(out)
-
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if isinstance(other, IntegerMatrix):
-            other = other.to_rational()
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        self._same_shape(other)
-        return RationalMatrix(
+        b = other.entries
+        return type(self)(
             [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
+                [sum(arow[k] * b[k][j] for k in range(self.cols)) for j in range(other.cols)]
+                for arow in self.entries
             ]
         )
 
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if isinstance(other, IntegerMatrix):
-            other = other.to_rational()
-        if not isinstance(other, RationalMatrix):
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
         self._same_shape(other)
-        return RationalMatrix(
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
+        return type(self)(
+            [[x + y for x, y in zip(arow, brow)] for arow, brow in zip(self.entries, other.entries)]
         )
 
-    def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix([[-x for x in row] for row in self.entries])
+    def __sub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        self._same_shape(other)
+        return type(self)(
+            [[x - y for x, y in zip(arow, brow)] for arow, brow in zip(self.entries, other.entries)]
+        )
 
-    def __pow__(self, exponent: int) -> "RationalMatrix":
+    def __neg__(self):
+        return type(self)([[-x for x in row] for row in self.entries])
+
+    def __pow__(self, exponent: int):
         n = self.n
         if exponent < 0:
-            return self.inverse() ** (-exponent)
-        return _power(self, exponent, RationalMatrix.identity(n))
+            return self._ring_inverse() ** (-exponent)
+        return _power(self, exponent, self.identity(n))
 
-    def _same_shape(self, other: "RationalMatrix") -> None:
+    def _same_shape(self, other: "_ExactMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatchError(
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
+
+
+class IntegerMatrix(_ExactMatrix):
+    """An immutable matrix with arbitrary-precision integer entries.
+
+    Square matrices are the ambient arithmetic for GL(n,Z); rectangular ones
+    appear as lattice maps fed to the Smith normal form.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, entries: Sequence[Sequence[int]]):
+        for row in entries:
+            for x in row:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise InputError(f"integer matrix entry {x!r} is not an int")
+        super().__init__(tuple(tuple(row) for row in entries))
+
+    @classmethod
+    def _from_exact(cls, rows: list[list[Fraction]]) -> "IntegerMatrix":
+        if any(x.denominator != 1 for row in rows for x in row):
+            raise InputError("matrix has non-integer entries")
+        return cls([[int(x) for x in row] for row in rows])
+
+    def __repr__(self) -> str:
+        body = ", ".join(str(list(row)) for row in self.entries)
+        return f"IntegerMatrix([{body}])"
+
+    @staticmethod
+    def _operand(other) -> "IntegerMatrix | None":
+        return other if isinstance(other, IntegerMatrix) else None
+
+    def det(self) -> int:
+        """Exact determinant via Bareiss fraction-free elimination."""
+        if not self.is_square:
+            raise DimensionMismatchError(f"matrix is {self.rows}x{self.cols}, not square")
+        return det_int(self.entries)
+
+    def unimodular_inverse(self) -> "IntegerMatrix":
+        """Inverse of a determinant-±1 matrix, computed exactly over Z by
+        ``_adjugate_inverse``, with det^(-1) = det."""
+        d = self.det()
+        if d not in (1, -1):
+            raise PreconditionError(f"matrix is not unimodular: det = {d}")
+        return IntegerMatrix(_adjugate_inverse(self.entries, d))
+
+    _ring_inverse = unimodular_inverse
+
+    def to_rational(self) -> "RationalMatrix":
+        return RationalMatrix(self.entries)
+
+
+class RationalMatrix(_ExactMatrix):
+    """An immutable matrix with exact rational entries (always reduced)."""
+
+    __slots__ = ()
+
+    def __init__(self, entries: Sequence[Sequence]):
+        super().__init__(tuple(tuple(Fraction(x) for x in row) for row in entries))
+
+    def __repr__(self) -> str:
+        body = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.entries)
+        return f"RationalMatrix([{body}])"
+
+    @staticmethod
+    def _operand(other) -> "RationalMatrix | None":
+        if isinstance(other, IntegerMatrix):
+            return other.to_rational()
+        return other if isinstance(other, RationalMatrix) else None
 
     def scale(self, c) -> "RationalMatrix":
         c = Fraction(c)
@@ -515,14 +427,14 @@ class RationalMatrix:
             raise SingularMatrixError("matrix is singular")
         return RationalMatrix([row[n:] for row in reduced])
 
+    _ring_inverse = inverse
+
     @property
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for row in self.entries for x in row)
 
     def to_integer(self) -> IntegerMatrix:
-        if not self.is_integral:
-            raise InputError("matrix has non-integer entries")
-        return IntegerMatrix([[int(x) for x in row] for row in self.entries])
+        return IntegerMatrix._from_exact(self.entries)
 
     def denominator_lcm(self) -> int:
         """Least common multiple of all entry denominators."""
@@ -534,12 +446,6 @@ class RationalMatrix:
         """(d, rows of d * self) with d the denominator lcm: an integer matrix."""
         d = self.denominator_lcm()
         return d, [[x.numerator * (d // x.denominator) for x in row] for row in self.entries]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "entries": [[str(x) for x in row] for row in self.entries],
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import comb, lcm, prod
 
-from .errors import PreconditionError, SingularMatrixError
+from .errors import PreconditionError, ResourceError, SingularMatrixError
 from .exactlin import (
     IntegerMatrix,
     Polynomial,
@@ -207,8 +207,17 @@ def torsion_order(g: IntegerMatrix) -> int | None:
 # ---------------------------------------------------------------------------
 
 
+#: Most distinct words a word scan may hold, here and in
+#: ``cryst.CrystGroup._scan_words``; more raise ResourceError.
+_WORD_SCAN_BUDGET = 10**5
+
+
 def bounded_words(gens: list[IntegerMatrix], wordlen: int) -> set[IntegerMatrix]:
-    """All distinct products of length <= wordlen over gens and inverses."""
+    """All distinct products of length <= wordlen over gens and inverses.
+
+    More than ``_WORD_SCAN_BUDGET`` words raise ResourceError: the count
+    grows exponentially in wordlen for most generators.
+    """
     if wordlen < 0:
         raise PreconditionError("word length must be nonnegative")
     if not gens:
@@ -230,6 +239,10 @@ def bounded_words(gens: list[IntegerMatrix], wordlen: int) -> set[IntegerMatrix]
                 wa = w * a
                 if wa not in seen:
                     seen.add(wa)
+                    if len(seen) > _WORD_SCAN_BUDGET:
+                        raise ResourceError(
+                            "word scan exceeded element budget", partial_size=len(seen)
+                        )
                     new_frontier.append(wa)
         frontier = new_frontier
         if not frontier:

@@ -49,6 +49,7 @@ from .errors import (
 from .exactlin import (
     IntegerMatrix,
     RationalMatrix,
+    _adjugate_inverse,
     _faddeev_leverrier,
     _power,
     det_int,
@@ -224,9 +225,11 @@ class ModMatrix:
         return det_int(self.to_lists()) % self.m
 
     def inverse(self) -> "ModMatrix":
-        """Inverse mod m: the reduction of the rational inverse of the
-        residue matrix, whose denominators divide its det, a unit mod m."""
-        return reduce(IntegerMatrix(self.to_lists()).inverse(), self.m)
+        """Inverse mod m: ``_adjugate_inverse`` of the residue matrix with
+        det^(-1) taken mod m, reduced mod m."""
+        n, m = self.n, self.m
+        inv = _adjugate_inverse(self.to_lists(), pow(self.det(), -1, m))
+        return ModMatrix._raw(n, m, tuple(x % m for row in inv for x in row))
 
     def __pow__(self, exponent: int) -> "ModMatrix":
         if exponent < 0:
@@ -650,8 +653,17 @@ def char_coeffs_mod(entries: tuple[int, ...], n: int, m: int) -> tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# finite-level images of p-adic closures
+# congruence images
 # ---------------------------------------------------------------------------
+
+
+def congruence_image(
+    gens: Sequence[IntegerMatrix], m: int, cap: int, *, n: int | None
+) -> ModMatrixGroup:
+    """The image of the group generated by gens in GL(n, Z/m), closed
+    under a budget of ``cap`` elements; ``n`` is needed only when gens is
+    empty."""
+    return generate([reduce(g, m) for g in gens], cap, n=n, m=m)
 
 
 def padic_level_image(
@@ -672,12 +684,9 @@ def padic_level_image(
         raise InputError(f"{p} is not prime")
     if level < 1:
         raise InputError(f"level must be >= 1, got {level}")
-    m = p**level
-    if not gens:
-        if n is None:
-            raise InputError("empty generating set needs an explicit dimension n")
-        return generate([], cap, n=n, m=m)
-    return generate([reduce(g, m) for g in gens], cap)
+    if not gens and n is None:
+        raise InputError("empty generating set needs an explicit dimension n")
+    return congruence_image(gens, p**level, cap, n=n)
 
 
 # ---------------------------------------------------------------------------

@@ -62,10 +62,6 @@ def default_moduli_schedule() -> list[int]:
     return sorted(moduli)
 
 
-def default_prime_schedule() -> list[int]:
-    return list(_SCHEDULE_PRIMES)
-
-
 def _validate_schedule(schedule: Sequence[int]) -> list[int]:
     sched = list(schedule)
     if not sched:
@@ -293,7 +289,7 @@ def avoid_conjugacy(
         default_moduli_schedule() if moduli_schedule is None else moduli_schedule
     )
     for m in schedule:
-        image = modgrp.generate([modgrp.reduce(g, m) for g in gamma_gens], cap, n=n, m=m)
+        image = modgrp.congruence_image(gamma_gens, m, cap, n=n)
         eta_mod = modgrp.reduce(eta, m)
         # one probe reads one bucket
         bucket = _cc_index(image, only=modgrp.char_coeffs_mod(eta_mod.entries, n, m))
@@ -336,7 +332,7 @@ def witness_prime(
     """
     if not is_semisimple(factor):
         raise PreconditionError("factor is not semisimple")
-    primes = list(default_prime_schedule() if prime_schedule is None else prime_schedule)
+    primes = list(_SCHEDULE_PRIMES if prime_schedule is None else prime_schedule)
     if not primes:
         raise InputError("prime schedule is empty")
     # checked before any image is built, not when a bad level comes up
@@ -411,7 +407,7 @@ def torsion_free_overgroup(
     nontrivial = [(rep, order) for rep, order in zip(reps, orders) if order > 1]
     if not nontrivial:
         m = schedule[0]
-        image = modgrp.generate([modgrp.reduce(g, m) for g in gamma_gens], cap, n=n, m=m)
+        image = modgrp.congruence_image(gamma_gens, m, cap, n=n)
         return TorsionFreeCertificate(
             n=n,
             m=m,
@@ -428,9 +424,7 @@ def torsion_free_overgroup(
 
     def image_at(m: int) -> modgrp.ModMatrixGroup:
         if m not in images:
-            images[m] = modgrp.generate(
-                [modgrp.reduce(g, m) for g in gamma_gens], cap, n=n, m=m
-            )
+            images[m] = modgrp.congruence_image(gamma_gens, m, cap, n=n)
             indexes[m] = _cc_index(images[m])
         return images[m]
 
@@ -592,9 +586,7 @@ def verify_certificate(
     for g in cert.gamma_gens:
         if g.det() not in (1, -1):
             return False
-    image = modgrp.generate(
-        [modgrp.reduce(g, m) for g in cert.gamma_gens], cap, n=n, m=m
-    )
+    image = modgrp.congruence_image(cert.gamma_gens, m, cap, n=n)
     if image.size != cert.image_size or image.digest() != cert.image_digest:
         return False
     if isinstance(cert, SeparationCertificate):
@@ -627,8 +619,8 @@ def verify_certificate(
         if m_rep < 2 or m % m_rep != 0:
             return False
         if m_rep not in divisor_images:
-            divisor_images[m_rep] = modgrp.generate(
-                [modgrp.reduce(g, m_rep) for g in cert.gamma_gens], cap, n=n, m=m_rep
+            divisor_images[m_rep] = modgrp.congruence_image(
+                cert.gamma_gens, m_rep, cap, n=n
             )
         rep_mod = modgrp.reduce(rep, m_rep)
         if rep_mod not in classes:

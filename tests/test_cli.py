@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 
 from congrusep import modgrp
@@ -137,6 +138,18 @@ def test_avoid_exhaustion_exit_code(capsys):
     )
     assert code == 4
     assert "no separating modulus" in err
+
+
+def test_avoid_word_scan_is_budgeted(capsys):
+    # the words over U, L and their inverses double with each length: the
+    # advisory scan stops at its element budget instead of running away
+    gens = '[{"n":2,"entries":[["1","1"],["0","1"]]},{"n":2,"entries":[["1","0"],["1","1"]]}]'
+    start = time.perf_counter()
+    code, out, err = run_cli(["avoid", gens, NEG_I, "--word-length", "40"], capsys)
+    assert time.perf_counter() - start < 60
+    assert code == 4
+    assert out == ""
+    assert "word scan exceeded element budget" in err
 
 
 def test_avoid_nonsemisimple_eta_exit_code(capsys):

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -219,6 +220,89 @@ def test_json_rejects_floats():
 def test_integer_json_rejects_fractions():
     with pytest.raises(InputError):
         IntegerMatrix.from_json_dict({"n": 2, "entries": [["1/2", "0"], ["0", "1"]]})
+
+
+# ---------------------------------------------------------------------------
+# the implementation both exact matrix classes share
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cls", [IntegerMatrix, RationalMatrix])
+def test_exact_matrix_shared_semantics(cls):
+    other = RationalMatrix if cls is IntegerMatrix else IntegerMatrix
+    a = cls([[2, 1], [1, 1]])
+    b = cls([[1, 1], [0, 1]])
+    # the classes are never equal to each other; equal matrices hash alike
+    assert a != other([[2, 1], [1, 1]])
+    assert cls([[2, 1], [1, 1]]) == a and hash(cls([[2, 1], [1, 1]])) == hash(a)
+    for result, expected in (
+        (a * b, [[2, 3], [1, 2]]),
+        (a + b, [[3, 2], [1, 2]]),
+        (a - b, [[1, 0], [1, 0]]),
+        (-a, [[-2, -1], [-1, -1]]),
+        (a**3, [[13, 8], [8, 5]]),
+        (a**-1, [[1, -1], [-1, 2]]),
+        (a**-2, [[2, -3], [-3, 5]]),
+    ):
+        assert type(result) is cls and result == cls(expected)
+    assert a**0 == cls.identity(2)
+    with pytest.raises(DimensionMismatchError):
+        a + cls.identity(3)
+    with pytest.raises(DimensionMismatchError):
+        a * cls.zeros(3, 1)
+    # a RationalMatrix coerces an IntegerMatrix operand; the reverse raises
+    for op in (operator.mul, operator.add, operator.sub):
+        if cls is RationalMatrix:
+            assert op(a, other([[1, 1], [0, 1]])) == op(a, b)
+        else:
+            with pytest.raises(TypeError):
+                op(a, other([[1, 1], [0, 1]]))
+    with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+        a.rows = 3
+    data = a.to_json_dict()
+    assert data == {"n": 2, "entries": [["2", "1"], ["1", "1"]]}
+    back = cls.from_json_dict(data)
+    assert type(back) is cls and back == a
+
+
+@pytest.mark.parametrize(
+    "cls, rows, error",
+    [
+        (IntegerMatrix, [[2, 1], [0, 1]], PreconditionError),
+        (RationalMatrix, [[1, 1], [1, 1]], SingularMatrixError),
+    ],
+)
+def test_exact_matrix_negative_power_needs_an_inverse_in_its_ring(cls, rows, error):
+    for k in (1, 2):
+        with pytest.raises(error):
+            cls(rows) ** -k
+
+
+def test_det_two_is_invertible_over_q_only():
+    assert RationalMatrix([[2, 1], [0, 1]]) ** -1 == RationalMatrix(
+        [[Fraction(1, 2), Fraction(-1, 2)], [0, 1]]
+    )
+
+
+def test_exact_matrices_share_every_method_but_the_ring_specific_ones():
+    def methods(cls):
+        return {
+            name
+            for name, value in vars(cls).items()
+            if callable(value) or isinstance(value, (classmethod, staticmethod, property))
+        }
+
+    assert methods(IntegerMatrix) & methods(RationalMatrix) == {
+        "__init__",  # checks ints / coerces to Fraction
+        "__repr__",
+        "_operand",  # the operand types each ring accepts
+        "det",
+        "_ring_inverse",  # unimodular_inverse / inverse, for negative powers
+    }
+    # IntegerMatrix.det is patched through IntegerMatrix.__dict__ by the
+    # benchmark tracer, so it must stay the class's own attribute
+    assert "det" in IntegerMatrix.__dict__
+    assert not hasattr(IntegerMatrix, "inverse")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from congrusep import modgrp
+from congrusep import exactlin, modgrp
 from congrusep.errors import (
     DimensionMismatchError,
     InputError,
@@ -104,6 +104,25 @@ def test_mod_matrix_inverse():
             x = reduce(random_gl_element(rng, 3), m)
             assert x * x.inverse() == eye == x.inverse() * x
             assert x ** -3 * x ** 3 == eye
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [2, 9, 12, 35, 49])
+def test_mod_matrix_inverse_is_the_adjugate_one(n, m, monkeypatch):
+    def no_gauss_jordan(*args):
+        raise AssertionError("ModMatrix.inverse reached Gauss-Jordan over Q")
+
+    monkeypatch.setattr(exactlin, "_rref", no_gauss_jordan)
+    rng = random.Random(n * 1000 + m)
+    eye = ModMatrix.identity(n, m)
+    found = 0
+    while found < 8:
+        entries = [rng.randrange(m) for _ in range(n * n)]
+        if gcd(exactlin.det_int(modgrp._rows(entries, n)), m) != 1:
+            continue  # not in GL(n, Z/m)
+        x = ModMatrix(n, m, entries)
+        assert x * x.inverse() == eye == x.inverse() * x
+        found += 1
 
 
 # ---------------------------------------------------------------------------
