@@ -209,10 +209,7 @@ def _cmd_torsion_free(args) -> int:
 
 def _cmd_semifactors(args) -> int:
     config = _config_from_args(args)
-    group = cryst.CrystGroup.from_json_dict(
-        _load_json_arg(args.group),
-        lattice_wordlen=max(config.word_length, cryst.DEFAULT_LATTICE_WORDLEN),
-    )
+    group = cryst.CrystGroup.from_json_dict(_load_json_arg(args.group))
     factors = cryst.semifactor_representatives(group)
     _emit(factors.to_json_dict(), config)
     return EXIT_OK
@@ -246,17 +243,26 @@ def _verify_file(path: str, config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, schedule: bool = False) -> None:
-    parser.add_argument("--element-cap", type=int, default=modgrp.DEFAULT_CAP,
-                        help="budget for group/orbit enumeration")
-    parser.add_argument("--word-length", type=int, default=_DEFAULT_SCAN_WORDLEN,
-                        help="bounded-scan word length (also raises the lattice"
-                             " word scan of semifactors above its default of 6)")
+def _add_flags(
+    parser: argparse.ArgumentParser, *, cap: bool = False, search: bool = False,
+    full: bool = False,
+) -> None:
+    """Register the flags a subcommand reads: --output always, --element-cap
+    with ``cap``, --full with ``full``, and with ``search`` the flags of the
+    searches and their verification (--word-length, -v, --modulus-schedule)."""
+    if cap:
+        parser.add_argument("--element-cap", type=int, default=modgrp.DEFAULT_CAP,
+                            help="budget for group/orbit enumeration")
+    if search:
+        parser.add_argument("--word-length", type=int, default=_DEFAULT_SCAN_WORDLEN,
+                            help="word length of the advisory virtual-unipotency"
+                                 " scan run before the search")
     parser.add_argument("--output", help="write result JSON to FILE instead of stdout")
-    parser.add_argument("--full", action="store_true",
-                        help="include full element lists, not just sizes and digests")
-    parser.add_argument("-v", "--verbose", action="store_true")
-    if schedule:
+    if full:
+        parser.add_argument("--full", action="store_true",
+                            help="include full element lists, not just sizes and digests")
+    if search:
+        parser.add_argument("-v", "--verbose", action="store_true")
         parser.add_argument("--modulus-schedule",
                             help="comma-separated strictly increasing moduli")
 
@@ -271,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jordan", help="Jordan decomposition and predicates")
     p.add_argument("matrix", help="matrix JSON (inline or file path)")
-    _add_common(p)
+    _add_flags(p)
     p.set_defaults(func=_cmd_jordan)
 
     p = sub.add_parser("avoid", help="separate a group from a semisimple conjugacy class")
@@ -279,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("eta", nargs="?", help="semisimple target matrix JSON")
     p.add_argument("--verify-only", metavar="FILE",
                    help="re-verify an existing certificate file and exit")
-    _add_common(p, schedule=True)
+    _add_flags(p, cap=True, search=True, full=True)
     p.set_defaults(func=_cmd_avoid)
 
     p = sub.add_parser("torsion-free",
@@ -289,20 +295,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="custom torsion representative table (matrix list JSON)")
     p.add_argument("--verify-only", metavar="FILE",
                    help="re-verify an existing certificate file and exit")
-    _add_common(p, schedule=True)
+    _add_flags(p, cap=True, search=True)
     p.set_defaults(func=_cmd_torsion_free)
 
     p = sub.add_parser("semifactors",
                        help="enumerate semisimple factors of a crystallographic group")
     p.add_argument("group", help="crystallographic group JSON")
-    _add_common(p)
+    _add_flags(p)
     p.set_defaults(func=_cmd_semifactors)
 
     p = sub.add_parser("witness-prime",
                        help="find a prime at which a semisimple factor escapes the group")
     p.add_argument("factor", help="semisimple factor matrix JSON")
     p.add_argument("gens", help="generator list JSON")
-    _add_common(p)
+    _add_flags(p, cap=True)
     p.set_defaults(func=_cmd_witness_prime)
 
     return parser

@@ -3,9 +3,10 @@ enumeration of semisimple factors.
 
 A crystallographic group here is given by affine generators (t, S), a
 rational translation t with a finite-order integral holonomy part S, plus a
-declared translation lattice.  The group's actual translation lattice is
-recomputed from bounded words and must coincide with the declared one; every
-quotient below depends on the lattice being the full translation subgroup.
+declared translation lattice.  The group's translation lattice is computed
+exactly from Schreier generators (one witness element per holonomy matrix)
+and must coincide with the declared one; every quotient below depends on the
+lattice being the full translation subgroup.
 
 For a holonomy element S the ambient space splits as the image of (S - I)
 plus its kernel (the moving and fixed subspaces).  An element (t, S) factors
@@ -41,15 +42,17 @@ from .exactlin import (
     smith_normal_form,
     solve_integer_linear,
 )
-from .jordan import _WORD_SCAN_BUDGET, torsion_order
+from .jordan import torsion_order
 from .modgrp import _closure
 
 #: Closure budget for the holonomy group; far above any finite
 #: crystallographic holonomy in small dimension.
 HOLONOMY_BUDGET = 10**4
 
-#: Word length used to recover the translation lattice from group elements.
-DEFAULT_LATTICE_WORDLEN = 6
+
+def _apply(s: IntegerMatrix, t: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """S t from the integer rows of S."""
+    return tuple(sum(a * x for a, x in zip(row, t)) for row in s.entries)
 
 
 @dataclass(frozen=True)
@@ -81,19 +84,14 @@ class AffineElement:
         """(t1, S1)(t2, S2) = (t1 + S1 t2, S1 S2)."""
         if self.dim != other.dim:
             raise DimensionMismatchError("affine elements of different dimension")
-        moved = mat_vec(self.S.to_rational(), other.t)
+        moved = _apply(self.S, other.t)
         return AffineElement(
             t=tuple(a + b for a, b in zip(self.t, moved)), S=self.S * other.S
         )
 
     def inverse(self) -> "AffineElement":
         s_inv = self.S.unimodular_inverse()
-        t_inv = mat_vec(s_inv.to_rational(), self.t)
-        return AffineElement(t=tuple(-x for x in t_inv), S=s_inv)
-
-    @property
-    def is_translation(self) -> bool:
-        return self.S == IntegerMatrix.identity(self.dim)
+        return AffineElement(t=tuple(-x for x in _apply(s_inv, self.t)), S=s_inv)
 
     def to_json_dict(self) -> dict:
         return {
@@ -116,12 +114,29 @@ class AffineElement:
         return cls(t=tuple(t), S=s)
 
 
+class _ByHolonomy:
+    """A group element that compares and hashes by its holonomy part, so a
+    closure over these keeps the first element it reaches per matrix."""
+
+    __slots__ = ("element",)
+
+    def __init__(self, element: AffineElement):
+        self.element = element
+
+    def __eq__(self, other) -> bool:
+        return self.element.S == other.element.S
+
+    def __hash__(self) -> int:
+        return hash(self.element.S)
+
+
 class CrystGroup:
     """A crystallographic group with validated lattice and finite holonomy.
 
-    Construction enumerates the holonomy group, finds a shortest witness
-    element for each holonomy matrix, recovers the translation lattice from
-    words up to ``lattice_wordlen``, and checks it matches the declared one.
+    Construction closes the holonomy group, picks a first-reached witness
+    element for each holonomy matrix, takes the translation lattice from the
+    Schreier generators of that transversal, and checks it matches the
+    declared one.
     """
 
     def __init__(
@@ -129,7 +144,6 @@ class CrystGroup:
         m: int,
         generators: Sequence[AffineElement],
         lattice: Sequence[Sequence],
-        lattice_wordlen: int = DEFAULT_LATTICE_WORDLEN,
     ):
         if m < 1:
             raise InputError("dimension must be positive")
@@ -155,13 +169,12 @@ class CrystGroup:
         self.generators = gens
         self.declared_lattice = declared
         self.holonomy = self._close_holonomy()
-        self._witnesses = {}
-        translations = self._scan_words(lattice_wordlen)
-        basis = lattice_basis(translations, m)
+        self._witnesses = self._first_witnesses()
+        basis = lattice_basis(self._schreier_translations(), m)
         if len(basis) != m:
             raise InputError(
-                f"translations found in words up to length {lattice_wordlen} span"
-                f" rank {len(basis)} < {m}; increase the word length or fix the input"
+                f"translations span rank {len(basis)} < {m}:"
+                " the group is not crystallographic"
             )
         self.lattice = tuple(basis)
         self._lattice_matrix = RationalMatrix([list(row) for row in zip(*basis)])
@@ -184,58 +197,35 @@ class CrystGroup:
             ) from None
         return tuple(sorted(elements, key=lambda s: s.entries))
 
-    def _scan_words(self, wordlen: int) -> list[tuple[Fraction, ...]]:
-        """BFS over words; records translation vectors (depth <= wordlen) and
-        a first witness element per holonomy matrix (any depth needed)."""
-        identity = AffineElement.identity(self.m)
+    def _first_witnesses(self) -> dict[IntegerMatrix, AffineElement]:
+        """The first element a breadth-first walk over words in g, g^-1
+        reaches for each holonomy matrix."""
         letters = []
         for g in self.generators:
             for cand in (g, g.inverse()):
                 if cand not in letters:
                     letters.append(cand)
-        seen = {identity}
-        self._witnesses = {identity.S: identity}
-        translations = [identity.t]
-        frontier = [identity]
-        needed = set(self.holonomy)
-        depth = 0
-        while True:
-            depth += 1
-            new_frontier = []
-            for w in frontier:
-                for a in letters:
-                    wa = w.compose(a)
-                    if wa in seen:
-                        continue
-                    seen.add(wa)
-                    if len(seen) > _WORD_SCAN_BUDGET:
-                        raise ResourceError(
-                            "word scan exceeded element budget", partial_size=len(seen)
-                        )
-                    new_frontier.append(wa)
-                    if wa.S not in self._witnesses:
-                        self._witnesses[wa.S] = wa
-                    if depth <= wordlen and wa.is_translation:
-                        translations.append(wa.t)
-            frontier = new_frontier
-            have_all = needed <= set(self._witnesses)
-            if depth >= wordlen and have_all:
-                break
-            if not frontier:
-                if not have_all:
-                    raise AssertionError("word scan ended before covering holonomy")
-                break
-            if depth > wordlen + len(self.holonomy) + 1:
-                raise AssertionError("word scan failed to cover holonomy")
-        return translations
+        maps = [lambda x, a=a: _ByHolonomy(x.element.compose(a)) for a in letters]
+        elements, _ = _closure(
+            _ByHolonomy(AffineElement.identity(self.m)), maps, HOLONOMY_BUDGET,
+            "choosing holonomy witnesses",
+        )
+        return {x.element.S: x.element for x in elements}
+
+    def _schreier_translations(self) -> list[tuple[Fraction, ...]]:
+        """The vectors of w_h g w_(h S_g)^-1 over every holonomy h and
+        generator g: by Schreier's lemma they generate the translation
+        subgroup, the kernel of the holonomy map."""
+        out = []
+        for w in self._witnesses.values():
+            for g in self.generators:
+                wg = w.compose(g)
+                out.append(tuple(a - b for a, b in zip(wg.t, self._witnesses[wg.S].t)))
+        return out
 
     def _validate_lattice(self) -> None:
-        # computed lattice must be stable under every holonomy matrix
-        for s in self.holonomy:
-            conj = self._lattice_inverse * s.to_rational() * self._lattice_matrix
-            if not conj.is_integral:
-                raise InputError("translation lattice is not holonomy-invariant")
-        # declared and computed lattices must agree as Z-modules
+        # the computed lattice is that of a normal subgroup, so holonomy-
+        # invariant; declared and computed lattices must agree as Z-modules
         declared_matrix = RationalMatrix(
             [list(row) for row in zip(*self.declared_lattice)]
         )
@@ -268,7 +258,7 @@ class CrystGroup:
         }
 
     @classmethod
-    def from_json_dict(cls, data, lattice_wordlen: int = DEFAULT_LATTICE_WORDLEN) -> "CrystGroup":
+    def from_json_dict(cls, data) -> "CrystGroup":
         if not isinstance(data, dict):
             raise InputError("crystallographic group JSON must be an object")
         try:
@@ -283,8 +273,7 @@ class CrystGroup:
             raise InputError("'lattice' and 'generators' must be arrays")
         parsed_lattice = [[_parse_exact(x) for x in row] for row in lattice]
         generators = [AffineElement.from_json_dict(g) for g in gens]
-        return cls(m=m, generators=generators, lattice=parsed_lattice,
-                   lattice_wordlen=lattice_wordlen)
+        return cls(m=m, generators=generators, lattice=parsed_lattice)
 
 
 # ---------------------------------------------------------------------------

@@ -207,8 +207,8 @@ def torsion_order(g: IntegerMatrix) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-#: Most distinct words a word scan may hold, here and in
-#: ``cryst.CrystGroup._scan_words``; more raise ResourceError.
+#: Most distinct words the virtual-unipotency scan may hold; more raise
+#: ResourceError.
 _WORD_SCAN_BUDGET = 10**5
 
 

@@ -25,9 +25,9 @@ residues in [0, m)), the body of the encoding above, because its
 conjugation maps act on tuples and packing each candidate costs more time
 than the class saves in memory.  ``ModMatrix`` objects are made only for
 single elements such as generators and representatives.  Subgroups,
-classes and crystallographic holonomy groups are all closed by the one
-breadth-first loop ``_closure``; nothing outside this module reads either
-set directly.
+classes, crystallographic holonomy groups and their witnesses are all
+closed by the one breadth-first loop ``_closure``; nothing outside this
+module reads either set directly.
 """
 
 from __future__ import annotations

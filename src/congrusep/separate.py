@@ -405,31 +405,17 @@ def torsion_free_overgroup(
     )
 
     nontrivial = [(rep, order) for rep, order in zip(reps, orders) if order > 1]
-    if not nontrivial:
-        m = schedule[0]
-        image = modgrp.congruence_image(gamma_gens, m, cap, n=n)
-        return TorsionFreeCertificate(
-            n=n,
-            m=m,
-            gamma_gens=tuple(gamma_gens),
-            torsion_reps=tuple(reps),
-            image_size=image.size,
-            image_digest=image.digest(),
-            per_rep=(),
-            table_version=table_version,
-        )
-
     images: dict[int, modgrp.ModMatrixGroup] = {}
     indexes: dict[int, dict] = {}
 
     def image_at(m: int) -> modgrp.ModMatrixGroup:
         if m not in images:
             images[m] = modgrp.congruence_image(gamma_gens, m, cap, n=n)
-            indexes[m] = _cc_index(images[m])
         return images[m]
 
     # one probe per distinct reduced representative; a probe that completed
-    # its orbit keeps the class, which then serves as the evidence
+    # its orbit keeps the class, which then serves as the evidence.  Only
+    # probed moduli get a char-poly index.
     probes: dict[modgrp.ModMatrix, tuple[bool, modgrp.ConjClass | None]] = {}
     per_rep_moduli = []
     for rep, order in nontrivial:
@@ -437,6 +423,8 @@ def torsion_free_overgroup(
             image = image_at(m)
             rep_mod = modgrp.reduce(rep, m)
             if rep_mod not in probes:
+                if m not in indexes:
+                    indexes[m] = _cc_index(image)
                 probes[rep_mod] = _probe_disjoint(image, indexes[m], rep_mod, cap)
             disjoint, _ = probes[rep_mod]
             if disjoint:
@@ -449,7 +437,7 @@ def torsion_free_overgroup(
                 largest_tried=schedule[-1],
             )
 
-    joint = lcm(*per_rep_moduli)
+    joint = lcm(*per_rep_moduli) if per_rep_moduli else schedule[0]
     image = image_at(joint)
     evidence = []
     for (rep, order), m_rep in zip(nontrivial, per_rep_moduli):

@@ -4,9 +4,10 @@ import subprocess
 import sys
 import time
 
+import pytest
 
 from congrusep import modgrp
-from congrusep.cli import main
+from congrusep.cli import build_parser, main
 
 U_GENS = '[{"n":2,"entries":[["1","1"],["0","1"]]}]'
 NEG_I = '{"n":2,"entries":[["-1","0"],["0","-1"]]}'
@@ -301,6 +302,66 @@ def test_semifactors_infinite_holonomy_closure_exit_code(capsys):
     assert "holonomy is not finite" in err
 
 
+def _cryst_group(generators, lattice=(("1", "0"), ("0", "1"))):
+    return json.dumps(
+        {
+            "m": len(lattice),
+            "lattice": [list(row) for row in lattice],
+            "generators": [{"t": list(t), "S": s} for t, s in generators],
+        }
+    )
+
+
+ID2 = [[1, 0], [0, 1]]
+
+# stdout SHA-256 of `semifactors`, recorded before the translation lattice
+# came from Schreier generators instead of a bounded word scan
+SEMIFACTOR_DIGESTS = [
+    (KLEIN, "072317e39ca59d4f8f18dc9619859fd6b7d0a968adf4b140fa60d90381712df2"),
+    (  # p4
+        _cryst_group([(("0", "0"), [[0, -1], [1, 0]]), (("1", "0"), ID2), (("0", "1"), ID2)]),
+        "5e23c3ed31516de9c56b24e762c87f8fb921493fa7c4a166c8e0f5cb2f6425d4",
+    ),
+    (  # torus
+        _cryst_group([(("1", "0"), ID2), (("0", "1"), ID2)]),
+        "08865b78609d51520ff07c19f134884f9d922e34f8477b6fc0ad2790ff25c0c8",
+    ),
+    (  # p6
+        _cryst_group([(("0", "0"), [[0, -1], [1, 1]]), (("1", "0"), ID2)]),
+        "bc61d504083dd74bce1391ba66c81ce70800638cc76fe6e45550e3c71351be5e",
+    ),
+]
+
+
+@pytest.mark.parametrize("group, digest", SEMIFACTOR_DIGESTS,
+                         ids=["klein", "p4", "torus", "p6"])
+def test_semifactors_bytes_pinned(group, digest, capsys):
+    code, out, _ = run_cli(["semifactors", group], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# a cubic group with holonomy of order 48 whose translation (2, -1/2, 1/2)
+# is first reached by a word of length 10
+CUBIC_GENERATORS = [
+    (("3/4", "3/4", "1/4"), [[0, 0, -1], [0, 1, 0], [1, 0, 0]]),
+    (("1/2", "1/4", "3/4"), [[1, 0, 0], [0, 0, 1], [0, 1, 0]]),
+]
+
+
+def test_semifactors_exact_lattice_of_cubic_group(capsys):
+    true_lattice = (("1/2", "0", "1/2"), ("0", "1/2", "1/2"), ("0", "0", "1"))
+    code, out, _ = run_cli(["semifactors", _cryst_group(CUBIC_GENERATORS, true_lattice)],
+                           capsys)
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "b2eb9dae61fc82662cf4d80823edd213e4ab98339f9f0e050ac76ad6a373eb02")
+    unit = (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1"))
+    code, out, err = run_cli(["semifactors", _cryst_group(CUBIC_GENERATORS, unit)], capsys)
+    assert code == 2 and out == ""
+    assert "group contains translations outside the declared lattice" in err
+
+
 # ---------------------------------------------------------------------------
 # witness-prime
 # ---------------------------------------------------------------------------
@@ -357,3 +418,39 @@ def test_byte_identical_across_processes(tmp_path):
         assert result.returncode == 0
         runs.append(result.stdout)
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# flags
+# ---------------------------------------------------------------------------
+
+JORDAN_M = '{"n":2,"entries":[["-1","1"],["0","-1"]]}'
+
+
+def test_unread_flags_exit_2():
+    for argv in (["jordan", JORDAN_M, "--full"], ["torsion-free", U_GENS, "--full"]):
+        result = subprocess.run(
+            [sys.executable, "-m", "congrusep.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "unrecognized arguments: --full" in result.stderr
+
+
+@pytest.mark.parametrize("command, args, flag", [
+    (command, args, flag)
+    for command, args, flags in [
+        ("jordan", [JORDAN_M], ["--element-cap=9", "--word-length=3", "--full", "-v"]),
+        ("semifactors", [KLEIN], ["--element-cap=9", "--word-length=3", "--full", "-v"]),
+        ("witness-prime", [NEG_I, U_GENS], ["--word-length=3", "--full", "-v"]),
+        ("torsion-free", [U_GENS], ["--full"]),
+    ]
+    for flag in flags
+])
+def test_subcommands_register_only_the_flags_they_read(command, args, flag):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, *args, flag])
+    assert exc.value.code == 2

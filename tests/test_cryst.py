@@ -122,6 +122,73 @@ def test_declared_overlattice_rejected():
         )
 
 
+def cubic_group(lattice=((F(1, 2), 0, F(1, 2)), (0, F(1, 2), F(1, 2)), (0, 0, 1))):
+    # holonomy of order 48; the translation (2, -1/2, 1/2) needs a word of length 10
+    return CrystGroup(
+        m=3,
+        generators=[
+            AffineElement(t=(F(3, 4), F(3, 4), F(1, 4)),
+                          S=IntegerMatrix([[0, 0, -1], [0, 1, 0], [1, 0, 0]])),
+            AffineElement(t=(F(1, 2), F(1, 4), F(3, 4)),
+                          S=IntegerMatrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]])),
+        ],
+        lattice=[list(row) for row in lattice],
+    )
+
+
+def test_cubic_lattice_is_the_full_translation_subgroup():
+    group = cubic_group()
+    assert len(group.holonomy) == 48
+    assert group.lattice == ((F(1, 2), 0, F(1, 2)), (0, F(1, 2), F(1, 2)), (0, 0, 1))
+    long_word = AffineElement.translation((2, F(-1, 2), F(1, 2)))
+    coords = mat_vec(group._lattice_inverse, long_word.t)
+    assert all(c.denominator == 1 for c in coords)
+    with pytest.raises(InputError, match="outside the declared lattice"):
+        cubic_group(lattice=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+def _first_words_by_holonomy(group):
+    """Oracle: a breadth-first walk over distinct group elements, words in
+    g and g^-1, recording the first element reached per holonomy matrix."""
+    letters = []
+    for g in group.generators:
+        for cand in (g, g.inverse()):
+            if cand not in letters:
+                letters.append(cand)
+    identity = AffineElement.identity(group.m)
+    first = {identity.S: identity}
+    seen, frontier = {identity}, [identity]
+    while len(first) < len(group.holonomy):
+        new = []
+        for w in frontier:
+            for a in letters:
+                wa = w.compose(a)
+                if wa not in seen:
+                    seen.add(wa)
+                    new.append(wa)
+                    first.setdefault(wa.S, wa)
+        frontier = new
+    return first
+
+
+@pytest.mark.parametrize("make", [klein_bottle, p4_group, cubic_group])
+def test_witnesses_are_first_reached_words(make):
+    group = make()
+    first = _first_words_by_holonomy(group)
+    assert set(first) == set(group.holonomy)
+    for s, w in first.items():
+        assert group.witness(s) == w
+
+
+def test_translations_of_lower_rank_rejected():
+    with pytest.raises(InputError, match="not crystallographic"):
+        CrystGroup(
+            m=2,
+            generators=[AffineElement(t=(1, 0), S=IntegerMatrix.identity(2))],
+            lattice=[[1, 0], [0, 1]],
+        )
+
+
 def test_json_roundtrip_group():
     kb = klein_bottle()
     again = CrystGroup.from_json_dict(kb.to_json_dict())

@@ -17,7 +17,7 @@ from congrusep.errors import (
     ScheduleExhaustedError,
 )
 from congrusep.exactlin import IntegerMatrix, Polynomial, RationalMatrix, char_poly
-from congrusep import modgrp
+from congrusep import modgrp, separate
 from congrusep.separate import (
     SeparationCertificate,
     TorsionFreeCertificate,
@@ -627,6 +627,21 @@ def test_verify_expands_each_reduced_rep_once(monkeypatch):
     data = json.loads(dump_certificate(cert))
     data["per_rep"][repeat]["class_digest"] = "f" * 64
     assert not verify_certificate(json.dumps(data))
+
+
+def test_joint_image_builds_no_char_poly_index(monkeypatch):
+    indexed = []
+    cc_index = separate._cc_index
+
+    def recording(image, only=None):
+        indexed.append(image.m)
+        return cc_index(image, only)
+
+    monkeypatch.setattr(separate, "_cc_index", recording)
+    cert = torsion_free_overgroup(klein_bottle_lift(), torsion_class_table(3))
+    # one index per probed modulus; the joint modulus is never probed
+    assert cert.m == 12
+    assert indexed == [2, 3, 4]
 
 
 def test_verify_rejects_per_rep_modulus_not_dividing():
