@@ -238,7 +238,7 @@ class _ExactMatrix:
             entries = data["entries"]
         except KeyError as exc:
             raise InputError(f"matrix JSON missing key {exc}") from exc
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:  # a JSON integer, never a bool
             raise InputError(f"matrix dimension must be a positive int, got {n!r}")
         if not isinstance(entries, list) or len(entries) != n:
             raise InputError("matrix JSON entries must be an n-row list")

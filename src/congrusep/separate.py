@@ -226,43 +226,67 @@ def dump_certificate(cert: SeparationCertificate | TorsionFreeCertificate) -> st
 # ---------------------------------------------------------------------------
 
 
-def _cc_index(
-    image: modgrp.ModMatrixGroup, only: tuple | None = None
-) -> dict[tuple, frozenset]:
+def _cc_index(image: modgrp.ModMatrixGroup, keys: set[tuple]) -> dict[tuple, frozenset]:
     """Image elements bucketed by char-poly coefficients mod m (a cheap
-    conjugation invariant): the only candidates for meeting a class.  With
-    ``only``, just the bucket under that key is built."""
+    conjugation invariant): the only candidates for meeting a class.  Only
+    the buckets under ``keys`` are built."""
     n, m = image.n, image.m
     index: dict[tuple, list] = {}
     for x in image.entry_tuples():
         key = modgrp.char_coeffs_mod(x, n, m)
-        if only is None or key == only:
+        if key in keys:
             index.setdefault(key, []).append(x)
     return {key: frozenset(vals) for key, vals in index.items()}
 
 
-def _probe_disjoint(
-    image: modgrp.ModMatrixGroup,
-    cc_index: dict[tuple, frozenset],
-    rep_mod: modgrp.ModMatrix,
+def _separating_moduli(
+    gamma_gens: Sequence[IntegerMatrix],
+    reps: Sequence[IntegerMatrix],
+    schedule: Sequence[int],
+    n: int,
     cap: int,
-) -> tuple[bool, modgrp.ConjClass | None]:
-    """Decide image ∩ class(rep_mod) = ∅ without always enumerating the
-    orbit: membership first, then the char-poly screen, then a fail-fast
-    orbit expansion that aborts on the first hit.
+) -> tuple[list[tuple[int, modgrp.ConjClass] | None], modgrp.ModMatrixGroup | None]:
+    """For each rep, the first scheduled modulus m whose congruence image of
+    the group misses the mod-m class of rep, with that class; None where no
+    modulus does.  Also returns the image at the last modulus built.
 
-    Returns (disjoint, class) where the class is included only when the
-    probe happened to complete the full orbit.
+    The search goes modulus by modulus, building each image once and
+    dropping it before the next.  Reps still unseparated are grouped by
+    their reduction mod m, and each distinct reduction is decided once:
+    membership first, then an orbit expansion that stops at the first
+    element in the image's bucket of its char poly.  Only those buckets are
+    indexed.  An expansion that completes is the full class.
     """
-    if rep_mod in image:
-        return False, None
-    stop = cc_index.get(modgrp.char_coeffs_mod(rep_mod.entries, rep_mod.n, rep_mod.m))
-    if not stop:
-        return True, None
-    orbit, hit = modgrp._orbit_expand(rep_mod, cap, stop_inside=stop)
-    if hit:
-        return False, None
-    return True, modgrp.ConjClass(rep_mod, orbit)
+    found: list[tuple[int, modgrp.ConjClass] | None] = [None] * len(reps)
+    image = None
+    for m in schedule:
+        pending = [i for i, f in enumerate(found) if f is None]
+        if not pending:
+            break
+        image = index = orbit = None  # freed before the next image is built
+        image = modgrp.congruence_image(gamma_gens, m, cap, n=n)
+        reductions: dict[modgrp.ModMatrix, list[int]] = {}
+        for i in pending:
+            reductions.setdefault(modgrp.reduce(reps[i], m), []).append(i)
+        probed = {
+            rep_mod: modgrp.char_coeffs_mod(rep_mod.entries, n, m)
+            for rep_mod in reductions
+            if rep_mod not in image
+        }
+        index = _cc_index(image, set(probed.values())) if probed else {}
+        for rep_mod, key in probed.items():
+            orbit, hit = modgrp._orbit_expand(rep_mod, cap, stop_inside=index.get(key))
+            if hit:
+                continue
+            cls = modgrp.ConjClass(rep_mod, orbit)
+            if not image.isdisjoint(cls):
+                raise AssertionError(
+                    "separating modulus failed re-verification; the fail-fast"
+                    " probe and the full orbit disagree"
+                )
+            for i in reductions[rep_mod]:
+                found[i] = (m, cls)
+    return found, image
 
 
 def avoid_conjugacy(
@@ -288,29 +312,22 @@ def avoid_conjugacy(
     schedule = _validate_schedule(
         default_moduli_schedule() if moduli_schedule is None else moduli_schedule
     )
-    for m in schedule:
-        image = modgrp.congruence_image(gamma_gens, m, cap, n=n)
-        eta_mod = modgrp.reduce(eta, m)
-        # one probe reads one bucket
-        bucket = _cc_index(image, only=modgrp.char_coeffs_mod(eta_mod.entries, n, m))
-        disjoint, cls = _probe_disjoint(image, bucket, eta_mod, cap)
-        if disjoint:
-            if cls is None:
-                cls = modgrp.conj_class(eta_mod, cap)
-            return SeparationCertificate(
-                n=n,
-                m=m,
-                gamma_gens=tuple(gamma_gens),
-                eta=eta,
-                image_size=image.size,
-                class_size=cls.size,
-                image_digest=image.digest(),
-                class_digest=cls.digest(),
-            )
-        del image  # before the next modulus builds its image
-    raise ScheduleExhaustedError(
-        f"no separating modulus found in schedule (largest tried: {schedule[-1]})",
-        largest_tried=schedule[-1],
+    (found,), image = _separating_moduli(gamma_gens, [eta], schedule, n, cap)
+    if found is None:
+        raise ScheduleExhaustedError(
+            f"no separating modulus found in schedule (largest tried: {schedule[-1]})",
+            largest_tried=schedule[-1],
+        )
+    m, cls = found
+    return SeparationCertificate(
+        n=n,
+        m=m,
+        gamma_gens=tuple(gamma_gens),
+        eta=eta,
+        image_size=image.size,
+        class_size=cls.size,
+        image_digest=image.digest(),
+        class_digest=cls.digest(),
     )
 
 
@@ -375,15 +392,15 @@ def torsion_free_overgroup(
 ) -> TorsionFreeCertificate:
     """One modulus covering every torsion representative, as a certificate.
 
-    Runs the per-representative separation search and combines the
-    successes into their lcm, the joint modulus.  The congruence image is
-    regenerated from scratch at the joint level; each representative's
-    class evidence is recorded at its own success modulus (a divisor of the
-    joint one), where disjointness is recomputed in full; classes at a
-    composite joint level grow as the product over its prime-power parts
-    and quickly become unenumerable, while divisor-level disjointness
-    already forces joint-level disjointness.  Order-1 reps are recorded and
-    skipped.
+    Runs the separation search of ``avoid_conjugacy`` for all nontrivial
+    representatives at once and combines the successes into their lcm, the
+    joint modulus, whose image is the search's last one if that is at the
+    joint level and is generated once more otherwise.  Each
+    representative's class evidence is recorded at its own success modulus
+    (a divisor of the joint one); classes at a composite joint level grow
+    as the product over its prime-power parts and quickly become
+    unenumerable, while divisor-level disjointness already forces
+    joint-level disjointness.  Order-1 reps are recorded and skipped.
     """
     table_version = "custom"
     if isinstance(torsion_reps, TorsionTable):
@@ -405,61 +422,24 @@ def torsion_free_overgroup(
     )
 
     nontrivial = [(rep, order) for rep, order in zip(reps, orders) if order > 1]
-    images: dict[int, modgrp.ModMatrixGroup] = {}
-    indexes: dict[int, dict] = {}
-
-    def image_at(m: int) -> modgrp.ModMatrixGroup:
-        if m not in images:
-            images[m] = modgrp.congruence_image(gamma_gens, m, cap, n=n)
-        return images[m]
-
-    # one probe per distinct reduced representative; a probe that completed
-    # its orbit keeps the class, which then serves as the evidence.  Only
-    # probed moduli get a char-poly index.
-    probes: dict[modgrp.ModMatrix, tuple[bool, modgrp.ConjClass | None]] = {}
-    per_rep_moduli = []
-    for rep, order in nontrivial:
-        for m in schedule:
-            image = image_at(m)
-            rep_mod = modgrp.reduce(rep, m)
-            if rep_mod not in probes:
-                if m not in indexes:
-                    indexes[m] = _cc_index(image)
-                probes[rep_mod] = _probe_disjoint(image, indexes[m], rep_mod, cap)
-            disjoint, _ = probes[rep_mod]
-            if disjoint:
-                per_rep_moduli.append(m)
-                break
-        else:
+    found, image = _separating_moduli(
+        gamma_gens, [rep for rep, _ in nontrivial], schedule, n, cap
+    )
+    for (_, order), f in zip(nontrivial, found):
+        if f is None:
             raise ScheduleExhaustedError(
                 f"no modulus in schedule separates a representative of order {order}"
                 f" (largest tried: {schedule[-1]})",
                 largest_tried=schedule[-1],
             )
-
-    joint = lcm(*per_rep_moduli) if per_rep_moduli else schedule[0]
-    image = image_at(joint)
-    evidence = []
-    for (rep, order), m_rep in zip(nontrivial, per_rep_moduli):
-        rep_mod = modgrp.reduce(rep, m_rep)
-        _, cls = probes[rep_mod]
-        if cls is None:
-            cls = modgrp.conj_class(rep_mod, cap)
-            probes[rep_mod] = (True, cls)
-        if not image_at(m_rep).isdisjoint(cls):
-            raise AssertionError(
-                "per-representative modulus failed re-verification; the"
-                " fail-fast probe and the full orbit disagree"
-            )
-        evidence.append(
-            RepEvidence(
-                rep=rep,
-                order=order,
-                modulus=m_rep,
-                class_size=cls.size,
-                class_digest=cls.digest(),
-            )
-        )
+    joint = lcm(*(m_rep for m_rep, _ in found)) if found else schedule[0]
+    if image is None or image.m != joint:
+        image = None  # freed before the joint image is built
+        image = modgrp.congruence_image(gamma_gens, joint, cap, n=n)
+    evidence = tuple(
+        RepEvidence(rep, order, m_rep, cls.size, cls.digest())
+        for (rep, order), (m_rep, cls) in zip(nontrivial, found)
+    )
     return TorsionFreeCertificate(
         n=n,
         m=joint,
@@ -467,7 +447,7 @@ def torsion_free_overgroup(
         torsion_reps=tuple(reps),
         image_size=image.size,
         image_digest=image.digest(),
-        per_rep=tuple(evidence),
+        per_rep=evidence,
         table_version=table_version,
     )
 
@@ -482,11 +462,19 @@ def _require(cond: bool, message: str) -> None:
         raise MalformedCertificateError(message)
 
 
+def _typed(value, kind: type, name: str):
+    """``value`` when its type is exactly ``kind``: a JSON integer is an
+    int, never a bool (which Python counts as one) or a float."""
+    _require(type(value) is kind, f"{name} must be a JSON {kind.__name__}")
+    return value
+
+
 def parse_certificate(data: dict | str) -> SeparationCertificate | TorsionFreeCertificate:
     """Parse certificate JSON (dict or text) into its dataclass.
 
-    Raises MalformedCertificateError on schema violations; unknown extra
-    keys are tolerated (the schema fields alone carry the claims).
+    Raises MalformedCertificateError on schema violations, a field of the
+    wrong JSON type among them; unknown extra keys are tolerated (the schema
+    fields alone carry the claims).
     """
     if isinstance(data, str):
         try:
@@ -498,32 +486,32 @@ def parse_certificate(data: dict | str) -> SeparationCertificate | TorsionFreeCe
     kind = data.get("kind")
     _require(kind in ("separation", "torsion-free"), f"unknown certificate kind {kind!r}")
     try:
-        n = data["n"]
-        m = data["m"]
+        n = _typed(data["n"], int, "n")
+        m = _typed(data["m"], int, "m")
         gens = tuple(IntegerMatrix.from_json_dict(g) for g in data["gamma_gens"])
-        _require(isinstance(n, int) and n >= 1, "n must be a positive integer")
-        _require(isinstance(m, int) and m >= 2, "m must be an integer >= 2")
+        _require(n >= 1, "n must be a positive integer")
+        _require(m >= 2, "m must be an integer >= 2")
         if kind == "separation":
             cert: SeparationCertificate | TorsionFreeCertificate = SeparationCertificate(
                 n=n,
                 m=m,
                 gamma_gens=gens,
                 eta=IntegerMatrix.from_json_dict(data["eta"]),
-                image_size=data["image_size"],
-                class_size=data["class_size"],
-                image_digest=data["image_digest"],
-                class_digest=data["class_digest"],
-                disjoint=data.get("disjoint", True),
+                image_size=_typed(data["image_size"], int, "image_size"),
+                class_size=_typed(data["class_size"], int, "class_size"),
+                image_digest=_typed(data["image_digest"], str, "image_digest"),
+                class_digest=_typed(data["class_digest"], str, "class_digest"),
+                disjoint=_typed(data.get("disjoint", True), bool, "disjoint"),
             )
         else:
             per_rep = tuple(
                 RepEvidence(
                     rep=IntegerMatrix.from_json_dict(e["rep"]),
-                    order=e["order"],
-                    modulus=e["modulus"],
-                    class_size=e["class_size"],
-                    class_digest=e["class_digest"],
-                    disjoint=e.get("disjoint", True),
+                    order=_typed(e["order"], int, "order"),
+                    modulus=_typed(e["modulus"], int, "modulus"),
+                    class_size=_typed(e["class_size"], int, "class_size"),
+                    class_digest=_typed(e["class_digest"], str, "class_digest"),
+                    disjoint=_typed(e.get("disjoint", True), bool, "disjoint"),
                 )
                 for e in data["per_rep"]
             )
@@ -534,10 +522,10 @@ def parse_certificate(data: dict | str) -> SeparationCertificate | TorsionFreeCe
                 torsion_reps=tuple(
                     IntegerMatrix.from_json_dict(r) for r in data["torsion_reps"]
                 ),
-                image_size=data["image_size"],
-                image_digest=data["image_digest"],
+                image_size=_typed(data["image_size"], int, "image_size"),
+                image_digest=_typed(data["image_digest"], str, "image_digest"),
                 per_rep=per_rep,
-                table_version=data["table_version"],
+                table_version=_typed(data["table_version"], str, "table_version"),
             )
     except (KeyError, TypeError, InputError) as exc:
         raise MalformedCertificateError(f"certificate schema violation: {exc}") from exc
@@ -550,11 +538,46 @@ def parse_certificate(data: dict | str) -> SeparationCertificate | TorsionFreeCe
             _require(rep.n == n, "representative dimension disagrees with n")
         for e in cert.per_rep:
             _require(e.rep.n == n, "evidence dimension disagrees with n")
-            _require(
-                isinstance(e.modulus, int) and e.modulus >= 2,
-                "evidence modulus must be an integer >= 2",
-            )
+            _require(e.modulus >= 2, "evidence modulus must be an integer >= 2")
     return cert
+
+
+def _class_claims(
+    cert: SeparationCertificate | TorsionFreeCertificate,
+) -> list[tuple[IntegerMatrix, int, int, str]] | None:
+    """The certificate's class claims, (rep, modulus, class size, class
+    digest), each saying that the image at the modulus misses the class of
+    rep there; None when a field fails a check that enumerates nothing.
+
+    A separation certificate makes one claim, for eta at m.  A torsion-free
+    one makes one per nontrivial representative, at a divisor of m:
+    divisor-level disjointness forces joint-level disjointness.
+    """
+    if isinstance(cert, SeparationCertificate):
+        eta = cert.eta
+        if not cert.disjoint or eta.n != cert.n or eta.det() not in (1, -1):
+            return None
+        if not is_semisimple(eta.to_rational()):
+            return None
+        return [(eta, cert.m, cert.class_size, cert.class_digest)]
+    # evidence for reps not in the table would be meaningless
+    if any(e.rep not in cert.torsion_reps for e in cert.per_rep):
+        return None
+    recorded = {e.rep: e for e in cert.per_rep}
+    claims = []
+    for rep in cert.torsion_reps:
+        order = torsion_order(rep)
+        if order is None:
+            return None
+        if order == 1:
+            continue
+        e = recorded.get(rep)
+        if e is None or e.order != order or not e.disjoint:
+            return None
+        if e.modulus < 2 or cert.m % e.modulus:
+            return None
+        claims.append((rep, e.modulus, e.class_size, e.class_digest))
+    return claims
 
 
 def verify_certificate(
@@ -566,60 +589,35 @@ def verify_certificate(
 
     Raises MalformedCertificateError for schema-level problems (as opposed
     to well-formed certificates that fail recomputation, which return
-    False).
+    False).  Every field check that enumerates nothing comes before the
+    first closure.
     """
     if isinstance(cert, (dict, str)):
         cert = parse_certificate(cert)
-    n, m = cert.n, cert.m
-    for g in cert.gamma_gens:
-        if g.det() not in (1, -1):
-            return False
-    image = modgrp.congruence_image(cert.gamma_gens, m, cap, n=n)
+    if any(g.det() not in (1, -1) for g in cert.gamma_gens):
+        return False
+    claims = _class_claims(cert)
+    if claims is None:
+        return False
+    image = modgrp.congruence_image(cert.gamma_gens, cert.m, cap, n=cert.n)
     if image.size != cert.image_size or image.digest() != cert.image_digest:
         return False
-    if isinstance(cert, SeparationCertificate):
-        if not cert.disjoint:
-            return False
-        if cert.eta.n != n or cert.eta.det() not in (1, -1):
-            return False
-        if not is_semisimple(cert.eta.to_rational()):
-            return False
-        cls = modgrp.conj_class(modgrp.reduce(cert.eta, m), cap)
-        if cls.size != cert.class_size or cls.digest() != cert.class_digest:
-            return False
-        return image.isdisjoint(cls)
-    recorded = {e.rep: e for e in cert.per_rep}
-    divisor_images: dict[int, modgrp.ModMatrixGroup] = {}
+    images = {cert.m: image}
     # one class per distinct reduced representative (the modulus is part of
-    # the key), as in the search's probes
+    # the key), as in the search
     classes: dict[modgrp.ModMatrix, modgrp.ConjClass] = {}
-    for rep in cert.torsion_reps:
-        order = torsion_order(rep)
-        if order is None:
-            return False
-        if order == 1:
-            continue
-        evidence = recorded.get(rep)
-        if evidence is None or evidence.order != order or not evidence.disjoint:
-            return False
-        m_rep = evidence.modulus
-        # divisor-level disjointness forces joint-level disjointness
-        if m_rep < 2 or m % m_rep != 0:
-            return False
-        if m_rep not in divisor_images:
-            divisor_images[m_rep] = modgrp.congruence_image(
-                cert.gamma_gens, m_rep, cap, n=n
-            )
+    for rep, m_rep, class_size, class_digest in claims:
+        if m_rep not in images:
+            images[m_rep] = modgrp.congruence_image(cert.gamma_gens, m_rep, cap, n=cert.n)
         rep_mod = modgrp.reduce(rep, m_rep)
         if rep_mod not in classes:
             classes[rep_mod] = modgrp.conj_class(rep_mod, cap)
         cls = classes[rep_mod]
-        if cls.size != evidence.class_size or cls.digest() != evidence.class_digest:
+        if (cls.size, cls.digest()) != (class_size, class_digest):
             return False
-        if not divisor_images[m_rep].isdisjoint(cls):
+        if not images[m_rep].isdisjoint(cls):
             return False
-    # evidence for reps not in the table would be meaningless
-    return all(e.rep in cert.torsion_reps for e in cert.per_rep)
+    return True
 
 
 # ---------------------------------------------------------------------------

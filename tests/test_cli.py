@@ -124,6 +124,35 @@ def test_avoid_verify_only_semiprime_modulus_is_bounded(tmp_path):
     assert "cannot factor" in result.stderr
 
 
+ONE_GENS = '[{"n":1,"entries":[["1"]]}]'
+ONE_NEG = '{"n":1,"entries":[["-1"]]}'
+
+
+@pytest.mark.parametrize("args, path, value", [
+    (["avoid", U_GENS, NEG_I], ["class_size"], True),
+    (["avoid", U_GENS, NEG_I], ["class_size"], 1.0),
+    (["avoid", U_GENS, NEG_I], ["disjoint"], 1),
+    (["avoid", ONE_GENS, ONE_NEG], ["n"], True),
+    (["avoid", ONE_GENS, ONE_NEG], ["eta", "n"], True),
+    (["torsion-free", U_GENS], ["per_rep", 0, "order"], 2.0),
+], ids=["size-true", "size-float", "disjoint-int", "n-true", "eta-n-true", "order-float"])
+def test_verify_only_mistyped_field_exit_code(capsys, tmp_path, args, path, value):
+    # true == 1 and 2.0 == 2 in Python: each of these certificates used to
+    # verify (exit 0)
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    data = json.loads(out)
+    field = data
+    for key in path[:-1]:
+        field = field[key]
+    field[path[-1]] = value
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(data))
+    code, _, err = run_cli([args[0], "--verify-only", str(cert)], capsys)
+    assert code == 2
+    assert "must be a" in err
+
+
 def test_avoid_verify_only_malformed(capsys, tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{")
@@ -139,6 +168,27 @@ def test_avoid_exhaustion_exit_code(capsys):
     )
     assert code == 4
     assert "no separating modulus" in err
+
+
+UL_GENS = (
+    '[{"n":2,"entries":[["1","1"],["0","1"]]},{"n":2,"entries":[["1","0"],["1","1"]]}]'
+)
+NOT_VU = (
+    "warning: generators are NOT virtually unipotent (refuted at word length <= 3);"
+    " the separation search may exhaust its schedule\n"
+)
+
+
+@pytest.mark.parametrize("args, line", [
+    (["torsion-free", UL_GENS], "error: no modulus in schedule separates a"
+     " representative of order 2 (largest tried: 5)\n"),
+    (["avoid", UL_GENS, NEG_I], "error: no separating modulus found in schedule"
+     " (largest tried: 5)\n"),
+], ids=["torsion-free", "avoid"])
+def test_schedule_exhaustion_lines_are_pinned(capsys, args, line):
+    # -I lies in SL(2, Z/m) for every m, so neither search can separate it
+    code, out, err = run_cli(args + ["--modulus-schedule", "3,4,5"], capsys)
+    assert (code, out, err) == (4, "", NOT_VU + line)
 
 
 def test_avoid_word_scan_is_budgeted(capsys):

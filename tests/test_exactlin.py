@@ -222,6 +222,14 @@ def test_integer_json_rejects_fractions():
         IntegerMatrix.from_json_dict({"n": 2, "entries": [["1/2", "0"], ["0", "1"]]})
 
 
+@pytest.mark.parametrize("cls", [IntegerMatrix, RationalMatrix])
+@pytest.mark.parametrize("n", [True, 1.0])
+def test_json_dimension_must_be_an_integer(cls, n):
+    # true == 1 in Python, so a bool dimension would read as n = 1
+    with pytest.raises(InputError):
+        cls.from_json_dict({"n": n, "entries": [["1"]]})
+
+
 # ---------------------------------------------------------------------------
 # the implementation both exact matrix classes share
 # ---------------------------------------------------------------------------

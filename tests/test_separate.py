@@ -49,6 +49,10 @@ U2 = IntegerMatrix([[1, 2], [0, 1]])
 NEG_I = IntegerMatrix([[-1, 0], [0, -1]])
 ROT4 = IntegerMatrix([[0, -1], [1, 0]])
 ANOSOV = IntegerMatrix([[2, 1], [1, 1]])
+HEISENBERG = [
+    IntegerMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+    IntegerMatrix([[1, 0, 0], [0, 1, 1], [0, 0, 1]]),
+]
 
 
 def test_default_schedule_shape():
@@ -530,6 +534,35 @@ def test_torsion_free_expands_each_reduced_rep_once(monkeypatch):
     assert verify_certificate(cert)
 
 
+def test_torsion_free_evidence_agrees_with_avoid():
+    # both run one separation search: each representative's evidence is
+    # what avoid_conjugacy finds for it alone
+    pairs = 0
+    for gens in ([U], HEISENBERG, klein_bottle_lift()):
+        cert = torsion_free_overgroup(gens, torsion_class_table(gens[0].n))
+        for evidence in cert.per_rep:
+            alone = avoid_conjugacy(gens, evidence.rep)
+            assert (alone.m, alone.class_size, alone.class_digest) == (
+                evidence.modulus, evidence.class_size, evidence.class_digest
+            )
+            pairs += 1
+    assert pairs == 36
+
+
+def test_torsion_free_frees_each_image_before_the_next():
+    # -I lies in SL(2, Z/m) for every m, so the schedule exhausts; keeping
+    # every probed image with its full char-poly index peaked at 3.01 times
+    # the m = 19 image alone
+    gens = [U, IntegerMatrix([[1, 0], [1, 1]])]
+
+    def exhaust():
+        with pytest.raises(ScheduleExhaustedError):
+            torsion_free_overgroup(gens, [NEG_I], [13, 17, 19])
+
+    alone = traced_peak(lambda: modgrp.congruence_image(gens, 19, modgrp.DEFAULT_CAP, n=2))
+    assert traced_peak(exhaust) <= 1.1 * alone
+
+
 def test_torsion_free_trivial_group():
     cert = torsion_free_overgroup([], [NEG_I], n=2)
     assert cert.m == 3
@@ -633,9 +666,9 @@ def test_joint_image_builds_no_char_poly_index(monkeypatch):
     indexed = []
     cc_index = separate._cc_index
 
-    def recording(image, only=None):
+    def recording(image, keys):
         indexed.append(image.m)
-        return cc_index(image, only)
+        return cc_index(image, keys)
 
     monkeypatch.setattr(separate, "_cc_index", recording)
     cert = torsion_free_overgroup(klein_bottle_lift(), torsion_class_table(3))
@@ -690,3 +723,34 @@ def test_verify_resists_field_mutations():
             assert verify_certificate(json.dumps(data)) is False, (key, value)
         except MalformedCertificateError:
             pass
+    # a field of the wrong JSON type is a schema violation, never a claim
+    # that recomputes: true == 1 and 1.0 == 1 in Python
+    mistyped = [
+        ("n", True),
+        ("m", 3.0),
+        ("class_size", True),
+        ("class_size", 1.0),
+        ("image_size", "2"),
+        ("class_digest", None),
+        ("disjoint", 1),
+    ]
+    for key, value in mistyped:
+        data = dict(base)
+        data[key] = value
+        with pytest.raises(MalformedCertificateError):
+            verify_certificate(json.dumps(data))
+    tf = json.loads(dump_certificate(torsion_free_overgroup([U], torsion_class_table(2))))
+    for key, value in [("order", 2.0), ("modulus", True), ("disjoint", 1)]:
+        data = json.loads(json.dumps(tf))
+        data["per_rep"][0][key] = value
+        with pytest.raises(MalformedCertificateError):
+            verify_certificate(json.dumps(data))
+    with pytest.raises(MalformedCertificateError):
+        verify_certificate(json.dumps(dict(tf, table_version=1)))
+    # at n = 1 a bool dimension even recomputed: every field matched
+    one = json.loads(dump_certificate(
+        avoid_conjugacy([IntegerMatrix([[1]])], IntegerMatrix([[-1]]))
+    ))
+    for data in (dict(one, n=True), dict(one, eta=dict(one["eta"], n=True))):
+        with pytest.raises(MalformedCertificateError):
+            verify_certificate(json.dumps(data))
