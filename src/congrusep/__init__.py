@@ -26,7 +26,6 @@ from .exactlin import (
     SmithDecomposition,
     char_poly,
     kernel_and_image,
-    min_poly,
     smith_normal_form,
 )
 from .jordan import (

@@ -634,12 +634,8 @@ def squarefree_part(f: Polynomial) -> Polynomial:
     return (f // g).monic()
 
 
-def is_squarefree(f: Polynomial) -> bool:
-    return poly_gcd(f, f.derivative()).degree <= 0
-
-
 # ---------------------------------------------------------------------------
-# characteristic and minimal polynomials
+# characteristic polynomials and exact linear solves
 # ---------------------------------------------------------------------------
 
 
@@ -659,10 +655,6 @@ def char_poly(a: RationalMatrix | IntegerMatrix) -> Polynomial:
     return Polynomial(reversed(coeffs))
 
 
-def _flatten(a: RationalMatrix) -> tuple[Fraction, ...]:
-    return tuple(x for row in a.entries for x in row)
-
-
 def _solve_exact(columns: list[tuple[Fraction, ...]], target: tuple[Fraction, ...]):
     """Solve sum_i x_i * columns[i] = target over Q; None if inconsistent.
 
@@ -678,25 +670,6 @@ def _solve_exact(columns: list[tuple[Fraction, ...]], target: tuple[Fraction, ..
     for row_idx, c in enumerate(pivots):
         solution[c] = reduced[row_idx][k]
     return solution
-
-
-def min_poly(a: RationalMatrix | IntegerMatrix) -> Polynomial:
-    """Monic minimal polynomial, found as the first linear dependence among
-    the flattened powers I, a, a^2, ...
-    """
-    if isinstance(a, IntegerMatrix):
-        a = a.to_rational()
-    n = a.n
-    powers = [RationalMatrix.identity(n)]
-    flat = [_flatten(powers[0])]
-    for k in range(1, n + 1):
-        powers.append(powers[-1] * a)
-        target = _flatten(powers[-1])
-        sol = _solve_exact(flat, target)
-        if sol is not None:
-            return Polynomial([-c for c in sol] + [Fraction(1)])
-        flat.append(target)
-    raise AssertionError("unreachable: degree-n dependence is guaranteed")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import comb, lcm, prod
 
-from .errors import PreconditionError, ResourceError, SingularMatrixError
+from .errors import PreconditionError, SingularMatrixError
 from .exactlin import (
     IntegerMatrix,
     Polynomial,
@@ -26,12 +26,10 @@ from .exactlin import (
     _power,
     char_poly,
     factorize,
-    is_squarefree,
-    min_poly,
     poly_xgcd,
     squarefree_part,
 )
-from .modgrp import _product
+from .modgrp import _closure, _product
 
 _MAX_NEWTON_STEPS = 64  # ceil(log2 n) + slack; evaluated exactly, never hit
 
@@ -95,12 +93,18 @@ def jordan_decompose(g: RationalMatrix | IntegerMatrix) -> JordanPair:
     return pair
 
 
+def _annihilates(f: Polynomial, x: RationalMatrix) -> bool:
+    """True iff f(x) = 0.  For f squarefree this says the minimal
+    polynomial of x, a divisor of f, is squarefree too."""
+    return all(c == 0 for row in f.eval_matrix(x).entries for c in row)
+
+
 def _check_pair(pair: JordanPair, g: RationalMatrix, f: Polynomial) -> None:
     # cheap exact sanity: annihilation by the squarefree part implies a
     # squarefree minimal polynomial, and the rest are direct identities
     n = g.n
     s, u = pair.semisimple, pair.unipotent
-    if not all(c == 0 for row in f.eval_matrix(s).entries for c in row):
+    if not _annihilates(f, s):
         raise AssertionError("semisimple factor not annihilated by squarefree part")
     eye = RationalMatrix.identity(n)
     if (u - eye) ** n != RationalMatrix.zeros(n):
@@ -110,10 +114,15 @@ def _check_pair(pair: JordanPair, g: RationalMatrix, f: Polynomial) -> None:
 
 
 def is_semisimple(g: RationalMatrix | IntegerMatrix) -> bool:
-    """True iff the minimal polynomial of g is squarefree."""
+    """True iff the minimal polynomial of g is squarefree.
+
+    The minimal polynomial divides the characteristic polynomial and has
+    the same roots, so it is squarefree iff it equals the squarefree part f
+    of the characteristic polynomial, i.e. iff f(g) = 0.
+    """
     g = _as_rational(g)
     _require_invertible(g)
-    return is_squarefree(min_poly(g))
+    return _annihilates(squarefree_part(char_poly(g)), g)
 
 
 def is_unipotent(g: RationalMatrix | IntegerMatrix) -> bool:
@@ -215,8 +224,10 @@ _WORD_SCAN_BUDGET = 10**5
 def bounded_words(gens: list[IntegerMatrix], wordlen: int) -> set[IntegerMatrix]:
     """All distinct products of length <= wordlen over gens and inverses.
 
-    More than ``_WORD_SCAN_BUDGET`` words raise ResourceError: the count
-    grows exponentially in wordlen for most generators.
+    The words are the closure of {I} under right multiplication by the
+    letters, cut at depth ``wordlen`` (``modgrp._closure``).  More than
+    ``_WORD_SCAN_BUDGET`` words raise ResourceError: the count grows
+    exponentially in wordlen for most generators.
     """
     if wordlen < 0:
         raise PreconditionError("word length must be nonnegative")
@@ -230,24 +241,14 @@ def bounded_words(gens: list[IntegerMatrix], wordlen: int) -> set[IntegerMatrix]
         for mat in (g, g.unimodular_inverse()):
             if mat not in letters:
                 letters.append(mat)
-    seen = {IntegerMatrix.identity(n)}
-    frontier = list(seen)
-    for _ in range(wordlen):
-        new_frontier = []
-        for w in frontier:
-            for a in letters:
-                wa = w * a
-                if wa not in seen:
-                    seen.add(wa)
-                    if len(seen) > _WORD_SCAN_BUDGET:
-                        raise ResourceError(
-                            "word scan exceeded element budget", partial_size=len(seen)
-                        )
-                    new_frontier.append(wa)
-        frontier = new_frontier
-        if not frontier:
-            break
-    return seen
+    words, _ = _closure(
+        IntegerMatrix.identity(n),
+        [lambda w, a=a: w * a for a in letters],
+        _WORD_SCAN_BUDGET,
+        "running the virtual-unipotency word scan",
+        depth=wordlen,
+    )
+    return words
 
 
 def is_virtually_unipotent_witness(gens: list[IntegerMatrix], wordlen: int) -> bool:

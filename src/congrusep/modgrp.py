@@ -25,9 +25,9 @@ residues in [0, m)), the body of the encoding above, because its
 conjugation maps act on tuples and packing each candidate costs more time
 than the class saves in memory.  ``ModMatrix`` objects are made only for
 single elements such as generators and representatives.  Subgroups,
-classes, crystallographic holonomy groups and their witnesses are all
-closed by the one breadth-first loop ``_closure``; nothing outside this
-module reads either set directly.
+classes, crystallographic holonomy groups and their witnesses, and the
+words of the virtual-unipotency scan are all built by the one breadth-first
+loop ``_closure``; nothing outside this module reads either set directly.
 """
 
 from __future__ import annotations
@@ -61,13 +61,17 @@ from .exactlin import (
 DEFAULT_CAP = 10**7
 
 
-def _closure(start, maps, cap: int, what: str, stop=None, key=None) -> tuple[set, bool]:
+def _closure(
+    start, maps, cap: int, what: str, stop=None, key=None, depth=None
+) -> tuple[set, bool]:
     """Breadth-first closure of {start} under the given maps.
 
     Returns (closure, False), or (partial, True) as soon as an element lies
     in ``stop`` (``start`` included).  More than ``cap`` elements raise
     ResourceError carrying the partial size; ``what`` names the computation
-    in its message.
+    in its message.  With ``depth`` the closure keeps only the elements at
+    most ``depth`` maps from ``start`` (``jordan.bounded_words``, the words
+    of bounded length); the depth is checked once per level.
 
     The maps act on elements as given; with ``key`` the returned set holds
     ``key(y)`` for each element y instead of y (``stop`` is still tested on
@@ -86,7 +90,12 @@ def _closure(start, maps, cap: int, what: str, stop=None, key=None) -> tuple[set
     if stop is not None and start in stop:
         return seen, True
     frontier = [start]
-    while frontier:
+    # one pass per level.  A one-generator closure has one element per
+    # level, so per-level work is per-element work there: an unbounded
+    # closure pays one iterator step per level for the depth
+    for _ in itertools.repeat(None) if depth is None else range(depth):
+        if not frontier:
+            break
         new_frontier = []
         for x in frontier:
             for f in maps:

@@ -345,7 +345,8 @@ def witness_prime(
     denominator (the reduction does not even exist there); an integral one
     by a finite-level image-escape search over prime powers in ascending
     modulus order, consistent with the modulus schedule of the separation
-    search.
+    search.  A prime dividing the determinant escapes at level 1 with no
+    image built: the reduction is not invertible there.
     """
     if not is_semisimple(factor):
         raise PreconditionError("factor is not semisimple")
@@ -364,14 +365,17 @@ def witness_prime(
         return WitnessPrime(factor=factor, prime=p, level=0, reason="denominator")
     n = factor.n
     _check_gl_generators(gamma_gens, n)
+    det = factor.det().numerator
     levels = sorted(
         ((p**k, p, k) for p in primes for k in range(1, level_budget + 1))
     )
     for modulus, p, level in levels:
-        # no reference outlives the test, so the next level builds its image
-        # after this one is freed
-        if modgrp.reduce(factor, modulus) not in modgrp.padic_level_image(
-            gamma_gens, p, level, cap, n=n
+        # a prime dividing det(factor) is met first at level 1 (the levels
+        # ascend); the reduction lies outside GL(n, Z/p), hence outside the
+        # image, which is not built.  No image outlives its test, so the next
+        # level builds its image after this one is freed
+        if det % p == 0 or modgrp.reduce(factor, modulus) not in (
+            modgrp.padic_level_image(gamma_gens, p, level, cap, n=n)
         ):
             return WitnessPrime(
                 factor=factor, prime=p, level=level, reason="image-escape"
@@ -566,6 +570,8 @@ def _class_claims(
     recorded = {e.rep: e for e in cert.per_rep}
     claims = []
     for rep in cert.torsion_reps:
+        if rep.det() not in (1, -1):  # torsion_order's precondition
+            return None
         order = torsion_order(rep)
         if order is None:
             return None

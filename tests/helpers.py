@@ -16,7 +16,16 @@ from math import lcm
 from congrusep import modgrp
 from congrusep.cryst import AffineElement, CrystGroup, lift_to_gl
 from congrusep.errors import InputError
-from congrusep.exactlin import IntegerMatrix, Polynomial, char_poly, det_int, factorize
+from congrusep.exactlin import (
+    IntegerMatrix,
+    Polynomial,
+    RationalMatrix,
+    _solve_exact,
+    char_poly,
+    det_int,
+    factorize,
+    poly_gcd,
+)
 from congrusep.jordan import euler_phi, torsion_order
 from congrusep.separate import torsion_class_table
 
@@ -103,6 +112,15 @@ def brute_force_closure(gens: list[tuple], n: int, m: int) -> set[tuple]:
         elements |= new
 
 
+def words_by_level(letters: list, depth: int, identity) -> set:
+    """Every product of at most ``depth`` letters, each level rebuilt from
+    the whole previous set (oracle: no frontier, no budget)."""
+    words = {identity}
+    for _ in range(depth):
+        words = words | {w * a for w in words for a in letters}
+    return words
+
+
 def traced_peak(run) -> int:
     """Peak bytes tracemalloc sees while run() executes (deterministic for
     one Python build)."""
@@ -151,6 +169,39 @@ def klein_bottle_lift() -> list[IntegerMatrix]:
         lattice=[[1, 0], [0, 1]],
     )
     return list(lift_to_gl(group).generators)
+
+
+# ---------------------------------------------------------------------------
+# minimal-polynomial oracle: semisimplicity from the first linear dependence
+# among the powers of a matrix, independent of the library's route through
+# the squarefree part of the characteristic polynomial
+# ---------------------------------------------------------------------------
+
+
+def _flatten(a: RationalMatrix) -> tuple[Fraction, ...]:
+    return tuple(x for row in a.entries for x in row)
+
+
+def min_poly(a: RationalMatrix | IntegerMatrix) -> Polynomial:
+    """Monic minimal polynomial, found as the first linear dependence among
+    the flattened powers I, a, a^2, ..."""
+    if isinstance(a, IntegerMatrix):
+        a = a.to_rational()
+    n = a.n
+    powers = [RationalMatrix.identity(n)]
+    flat = [_flatten(powers[0])]
+    for _ in range(n):
+        powers.append(powers[-1] * a)
+        target = _flatten(powers[-1])
+        sol = _solve_exact(flat, target)
+        if sol is not None:
+            return Polynomial([-c for c in sol] + [Fraction(1)])
+        flat.append(target)
+    raise AssertionError("unreachable: degree-n dependence is guaranteed")
+
+
+def is_squarefree(f: Polynomial) -> bool:
+    return poly_gcd(f, f.derivative()).degree <= 0
 
 
 # ---------------------------------------------------------------------------

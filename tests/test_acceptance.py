@@ -17,13 +17,7 @@ import pytest
 from congrusep import modgrp, separate
 from congrusep.cryst import AffineElement, CrystGroup, lift_to_gl
 from congrusep.errors import ScheduleExhaustedError
-from congrusep.exactlin import (
-    IntegerMatrix,
-    RationalMatrix,
-    is_squarefree,
-    min_poly,
-    smith_normal_form,
-)
+from congrusep.exactlin import IntegerMatrix, RationalMatrix, smith_normal_form
 from congrusep.jordan import jordan_decompose, torsion_order
 from congrusep.separate import (
     avoid_conjugacy,
@@ -34,7 +28,7 @@ from congrusep.separate import (
 )
 from fractions import Fraction
 
-from helpers import mat_mul_mod, random_gl_element, unimodular_box
+from helpers import is_squarefree, mat_mul_mod, min_poly, random_gl_element, unimodular_box
 
 U = IntegerMatrix([[1, 1], [0, 1]])
 NEG_I = IntegerMatrix([[-1, 0], [0, -1]])

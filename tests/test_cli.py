@@ -200,7 +200,7 @@ def test_avoid_word_scan_is_budgeted(capsys):
     assert time.perf_counter() - start < 60
     assert code == 4
     assert out == ""
-    assert "word scan exceeded element budget" in err
+    assert "element budget 100000 exceeded while running the virtual-unipotency word scan" in err
 
 
 def test_avoid_nonsemisimple_eta_exit_code(capsys):
@@ -261,6 +261,23 @@ def test_torsion_free_builtin_table(capsys, tmp_path):
     assert cert["table_version"] == "builtin-n2-v1"
     code, _, _ = run_cli(["torsion-free", "--verify-only", str(out_file)], capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize("rep", [[["2", "0"], ["0", "1"]], [["0", "0"], ["0", "0"]]],
+                         ids=["det-2", "zero"])
+def test_torsion_free_verify_only_rep_outside_gl_fails(capsys, tmp_path, rep):
+    # a representative outside GL(n, Z) has no torsion order: the
+    # certificate fails verification instead of raising a precondition error
+    out_file = tmp_path / "tf.json"
+    code, _, _ = run_cli(["torsion-free", U_GENS, "--output", str(out_file)], capsys)
+    assert code == 0
+    cert = json.loads(out_file.read_text())
+    assert cert["torsion_reps"][0]["entries"] == [["1", "0"], ["0", "1"]]
+    cert["torsion_reps"][0]["entries"] = rep
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert))
+    code, out, _ = run_cli(["torsion-free", "--verify-only", str(bad)], capsys)
+    assert (code, out) == (5, "")
 
 
 def test_torsion_free_no_builtin_table_dim4(capsys):
@@ -430,6 +447,18 @@ def test_witness_prime_image_escape(capsys):
     assert code == 0
     data = json.loads(out)
     assert (data["prime"], data["level"], data["reason"]) == (3, 1, "image-escape")
+
+
+@pytest.mark.parametrize("diagonal, prime", [(("2", "2"), 2), (("3", "1"), 3)])
+def test_witness_prime_determinant_not_a_unit(capsys, diagonal, prime):
+    # p | det: the reduction mod p is not in GL(n, Z/p), so it escapes every
+    # image at level 1; diag(3, 1) is I mod 2, which every image contains
+    a, d = diagonal
+    factor = json.dumps({"n": 2, "entries": [[a, "0"], ["0", d]]})
+    code, out, err = run_cli(["witness-prime", factor, U_GENS], capsys)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert (data["prime"], data["level"], data["reason"]) == (prime, 1, "image-escape")
 
 
 def test_witness_prime_exhaustion_exit_code(capsys):

@@ -23,18 +23,16 @@ from congrusep.exactlin import (
     char_poly,
     det_int,
     factorize,
-    is_squarefree,
     kernel_and_image,
     lattice_basis,
     mat_vec,
-    min_poly,
     poly_gcd,
     poly_xgcd,
     smith_normal_form,
     solve_integer_linear,
     squarefree_part,
 )
-from helpers import leibniz_det, random_gl_element
+from helpers import is_squarefree, leibniz_det, min_poly, random_gl_element
 
 I2 = RationalMatrix.identity(2)
 U = RationalMatrix([[1, 1], [0, 1]])

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from congrusep.errors import PreconditionError, SingularMatrixError
 from congrusep.exactlin import (
@@ -9,8 +11,6 @@ from congrusep.exactlin import (
     Polynomial,
     RationalMatrix,
     char_poly,
-    is_squarefree,
-    min_poly,
 )
 from congrusep.jordan import (
     bounded_words,
@@ -27,7 +27,9 @@ from helpers import (
     cyclotomic_factorization,
     cyclotomic_polynomial,
     cyclotomic_torsion_order,
+    is_squarefree,
     klein_bottle_lift,
+    min_poly,
     random_gl_element,
     unimodular_box,
 )
@@ -173,6 +175,61 @@ def test_is_semisimple_identity():
 def test_is_semisimple_singular_rejected():
     with pytest.raises(SingularMatrixError):
         is_semisimple(RationalMatrix([[0, 0], [0, 1]]))
+
+
+def _jordan_form(blocks) -> RationalMatrix:
+    """Block-diagonal matrix of Jordan blocks, given as (eigenvalue, size)."""
+    n = sum(size for _, size in blocks)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    start = 0
+    for value, size in blocks:
+        for k in range(start, start + size):
+            rows[k][k] = Fraction(value)
+            if k + 1 < start + size:
+                rows[k][k + 1] = Fraction(1)
+        start += size
+    return RationalMatrix(rows)
+
+
+@st.composite
+def conjugated_jordan_forms(draw):
+    # few eigenvalues, so blocks often share one: a repeated eigenvalue in
+    # 1x1 blocks stays semisimple, one in a larger block does not
+    eigenvalue = st.sampled_from([1, -1, 2, Fraction(1, 2)])
+    size = st.sampled_from([1, 1, 1, 2, 3])
+    blocks = draw(st.lists(st.tuples(eigenvalue, size), min_size=1, max_size=4).filter(
+        lambda b: sum(s for _, s in b) <= 4
+    ))
+    form = _jordan_form(blocks)
+    n = form.n
+    rng = draw(st.randoms(use_true_random=False))
+    scale = draw(st.lists(st.sampled_from([1, 2, Fraction(1, 3), Fraction(-3, 2)]),
+                          min_size=n, max_size=n))
+    h = random_gl_element(rng, n).to_rational() * _jordan_form([(c, 1) for c in scale])
+    return h.inverse() * form * h
+
+
+def _square(entries):
+    return st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
+    )).map(RationalMatrix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    _square(st.integers(-3, 3)),
+    _square(st.fractions(min_value=-2, max_value=2, max_denominator=3)),
+    conjugated_jordan_forms(),
+))
+def test_is_semisimple_matches_min_poly_oracle(g):
+    assume(g.det() != 0)
+    assert is_semisimple(g) is is_squarefree(min_poly(g))
+
+
+def test_is_semisimple_on_jordan_forms():
+    assert is_semisimple(_jordan_form([(2, 1), (2, 1), (-1, 1)]))
+    assert not is_semisimple(_jordan_form([(2, 1), (2, 2)]))
+    assert not is_semisimple(_jordan_form([(Fraction(1, 2), 3), (1, 1)]))
 
 
 def test_is_unipotent():

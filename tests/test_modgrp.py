@@ -15,6 +15,7 @@ from congrusep.errors import (
     ResourceError,
 )
 from congrusep.exactlin import IntegerMatrix, RationalMatrix
+from congrusep.jordan import bounded_words
 from congrusep.modgrp import (
     DenominatorNotUnitError,
     _conjugation_by,
@@ -42,6 +43,7 @@ from helpers import (
     principal_minor_sums,
     random_gl_element,
     traced_peak,
+    words_by_level,
 )
 
 U = IntegerMatrix([[1, 1], [0, 1]])
@@ -49,6 +51,7 @@ L = IntegerMatrix([[1, 0], [1, 1]])
 NEG_I = IntegerMatrix([[-1, 0], [0, -1]])
 E12_3 = IntegerMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
 SHIFT3 = IntegerMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+HEIS = [E12_3, IntegerMatrix([[1, 0, 0], [0, 1, 1], [0, 0, 1]])]
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +277,28 @@ def test_group_and_class_json_shapes():
     assert len(full["elements"]) == grp.size
     cls = conj_class(reduce(U, 2))
     assert set(cls.to_json_dict()) == {"n", "m", "representative", "size", "elements_digest"}
+
+
+@pytest.mark.parametrize("depth", range(5))
+@pytest.mark.parametrize("gens", [[U], [L], [U, L], HEIS], ids=["U", "L", "U,L", "heisenberg"])
+def test_closure_to_a_depth_is_the_word_set(gens, depth):
+    letters = [x for g in gens for x in (g, g.unimodular_inverse())]
+    eye = IntegerMatrix.identity(gens[0].n)
+    words, stopped = modgrp._closure(
+        eye, [lambda w, a=a: w * a for a in letters], 10**6, "testing", depth=depth
+    )
+    assert not stopped
+    assert words == words_by_level(letters, depth, eye)
+    assert bounded_words(gens, depth) == words
+
+
+def test_closure_past_its_diameter_is_the_whole_closure():
+    maps = [_right_multiplication(reduce(g, 3)) for g in (U, L)]
+    start = reduce(IntegerMatrix.identity(2), 3).entries
+    whole, _ = modgrp._closure(start, maps, 10**6, "testing")
+    assert len(whole) == 24  # SL(2, Z/3)
+    assert modgrp._closure(start, maps, 10**6, "testing", depth=100) == (whole, False)
+    assert len(modgrp._closure(start, maps, 10**6, "testing", depth=1)[0]) == 3
 
 
 # ---------------------------------------------------------------------------
