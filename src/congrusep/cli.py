@@ -109,6 +109,8 @@ def _parse_gens(data) -> list[IntegerMatrix]:
 
 def _vu_scan_note(config: RunConfig, gens: list[IntegerMatrix]) -> None:
     """Advisory bounded scan; results go to stderr, never into certificates."""
+    if len({g.n for g in gens}) > 1:  # the search's input error, before any product
+        raise InputError("generators of mixed dimension")
     wordlen = config.word_length
     consistent = jordan.is_virtually_unipotent_witness(gens, wordlen)
     if consistent:

@@ -704,26 +704,28 @@ def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
-    def guard(x: int) -> int:
-        if abs(x).bit_length() > bound:
+    def guard(written: list[int]) -> None:
+        """One bound check per operation, over the entries it wrote."""
+        if max(map(abs, written)).bit_length() > bound:
             raise BitBoundExceededError(
                 f"entry exceeded {bound} bits during Smith reduction"
             )
-        return x
 
     def row_sub(i: int, k: int, q: int) -> None:
         if q == 0:
             return
-        m[i] = [guard(x - q * y) for x, y in zip(m[i], m[k])]
-        u[i] = [guard(x - q * y) for x, y in zip(u[i], u[k])]
+        m[i] = [x - q * y for x, y in zip(m[i], m[k])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+        guard(m[i] + u[i])
 
     def col_sub(j: int, k: int, q: int) -> None:
         if q == 0:
             return
         for row in m:
-            row[j] = guard(row[j] - q * row[k])
+            row[j] -= q * row[k]
         for row in v:
-            row[j] = guard(row[j] - q * row[k])
+            row[j] -= q * row[k]
+        guard([row[j] for row in m + v])
 
     def find_pivot(t: int):
         best = None
@@ -770,8 +772,9 @@ def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
                         break
                 if offender is None:
                     break
-                m[t] = [guard(x + y) for x, y in zip(m[t], m[offender])]
-                u[t] = [guard(x + y) for x, y in zip(u[t], u[offender])]
+                m[t] = [x + y for x, y in zip(m[t], m[offender])]
+                u[t] = [x + y for x, y in zip(u[t], u[offender])]
+                guard(m[t] + u[t])
             loc = find_pivot(t)
         if m[t][t] < 0:
             m[t] = [-x for x in m[t]]

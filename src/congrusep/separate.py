@@ -718,6 +718,47 @@ def _box_symmetries(n: int) -> list[tuple[tuple[int, int], ...]]:
     return out
 
 
+def _last_rows(
+    head: list[tuple[int, ...]], n: int, bound: int
+) -> Iterable[tuple[int, ...]]:
+    """The last rows r in [-bound, bound]^n, in lexicographic order, that
+    complete the first n - 1 rows ``head`` to a g with det g = +-1 and
+    |tr g| <= n.
+
+    det g = c . r for the cofactor vector c of the last row, c_j being
+    (-1)^(n-1+j) times the minor of ``head`` without column j.  With k the
+    last index where c_k != 0, r[k] is solved from r[:k] for det -1 and for
+    det 1 (kept when the division is exact and r[k] lies in the box);
+    r[k+1:] is free, and r[n-1] is held to the trace window.  No k: every
+    det is 0.
+    """
+    cofactors = [1] if n == 1 else [
+        (-1) ** (n - 1 + j) * det_int([row[:j] + row[j + 1 :] for row in head])
+        for j in range(n)
+    ]
+    nonzero = [j for j, c in enumerate(cofactors) if c]
+    if not nonzero:
+        return
+    k = nonzero[-1]
+    pivot = cofactors[k]
+    values = range(-bound, bound + 1)
+    head_trace = sum(head[i][i] for i in range(n - 1))
+    window = range(max(-bound, -n - head_trace), min(bound, n - head_trace) + 1)
+    if k == n - 1:
+        solved, tails = window, [()]
+    else:
+        solved = values
+        tails = list(itertools.product(*[values] * (n - 2 - k), window))
+    dets = (-1, 1) if pivot > 0 else (1, -1)  # r[k] ascending
+    for prefix in itertools.product(values, repeat=k):
+        rest = sum(c * x for c, x in zip(cofactors, prefix))
+        for det in dets:
+            x, remainder = divmod(det - rest, pivot)
+            if not remainder and x in solved:
+                for tail in tails:
+                    yield prefix + (x,) + tail
+
+
 def validate_torsion_table(
     n: int,
     bound: int = 3,
@@ -742,7 +783,12 @@ def validate_torsion_table(
     test below thus gives one answer on the whole orbit.  The enumeration
     is lexicographic, so it reaches an orbit's minimum first; the decision
     made there is kept for the orbit's later members until each is reached.
-    Members of an orbit that fails the det or trace filters are not kept.
+    Members of an orbit that fails the trace-of-square filter are not kept.
+
+    Only candidates that can be torsion are generated: for each choice of
+    the first n - 1 rows, ``_last_rows`` yields the last rows that make
+    det = +-1 and |trace| <= n.  Conjugation keeps det and trace, so every
+    orbit member a decision is kept for is generated.
     """
     from .exactlin import char_poly  # at call time, so a wrapper on it is seen
 
@@ -767,35 +813,33 @@ def validate_torsion_table(
     pending: dict[tuple[int, ...], bool] = {}
     unmatched = []
     values = range(-bound, bound + 1)
-    for flat in itertools.product(values, repeat=n * n):
-        rows = [flat[i * n : (i + 1) * n] for i in range(n)]
-        missing = pending.pop(flat, None)
-        if missing is None:
-            if det_int(rows) not in (1, -1):
-                continue
-            # torsion forces every eigenvalue onto the unit circle: |tr g^k| <= n
-            trace = sum(rows[i][i] for i in range(n))
-            if abs(trace) > n:
-                continue
-            sq_trace = sum(
-                sum(rows[i][k] * rows[k][i] for k in range(n)) for i in range(n)
-            )
-            if abs(sq_trace) > n:
-                continue
-            g = IntegerMatrix(rows)
-            order = torsion_order(g)
-            if order is None:
-                missing = False
-            else:
-                candidates = buckets.get((order, char_poly(g)), [])
-                missing = not any(
-                    not moduli or modgrp.is_conjugate_mod(g, t, joint)
-                    for t in candidates
+    for head_flat in itertools.product(values, repeat=(n - 1) * n):
+        head = [head_flat[i * n : (i + 1) * n] for i in range(n - 1)]
+        for last in _last_rows(head, n, bound):
+            flat = head_flat + last
+            rows = head + [last]
+            missing = pending.pop(flat, None)
+            if missing is None:
+                # torsion forces every eigenvalue onto the unit circle: |tr g^k| <= n
+                sq_trace = sum(
+                    sum(rows[i][k] * rows[k][i] for k in range(n)) for i in range(n)
                 )
-            for symmetry in symmetries:
-                mate = tuple(sign * flat[k] for k, sign in symmetry)
-                if mate > flat:
-                    pending[mate] = missing
-        if missing:
-            unmatched.append(IntegerMatrix(rows))
+                if abs(sq_trace) > n:
+                    continue
+                g = IntegerMatrix(rows)
+                order = torsion_order(g)
+                if order is None:
+                    missing = False
+                else:
+                    candidates = buckets.get((order, char_poly(g)), [])
+                    missing = not any(
+                        not moduli or modgrp.is_conjugate_mod(g, t, joint)
+                        for t in candidates
+                    )
+                for symmetry in symmetries:
+                    mate = tuple(sign * flat[k] for k, sign in symmetry)
+                    if mate > flat:
+                        pending[mate] = missing
+            if missing:
+                unmatched.append(IntegerMatrix(rows))
     return unmatched

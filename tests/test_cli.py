@@ -215,6 +215,16 @@ def test_avoid_bad_schedule_exit_code(capsys):
     assert code == 2
 
 
+MIXED_GENS = '[{"n":2,"entries":[[1,1],[0,1]]},{"n":3,"entries":[[1,0,0],[0,1,0],[0,0,1]]}]'
+
+
+@pytest.mark.parametrize("args", [["avoid", MIXED_GENS, NEG_I], ["torsion-free", MIXED_GENS]])
+def test_mixed_dimension_generators_exit_code(capsys, args):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert "generators of mixed dimension" in err
+
+
 def test_avoid_deterministic_output(capsys):
     code1, out1, _ = run_cli(["avoid", U_GENS, NEG_I], capsys)
     code2, out2, _ = run_cli(["avoid", U_GENS, NEG_I], capsys)

@@ -473,6 +473,14 @@ def test_snf_bit_bound_guard(monkeypatch):
         smith_normal_form(a)
 
 
+def test_snf_bit_bound_guard_on_column_operation(monkeypatch):
+    # one row, so no row operation: the only growth is V's column 1 = -2^9
+    monkeypatch.setattr(exactlin, "_BIT_BOUND", 8)
+    assert smith_normal_form(IntegerMatrix([[1, 2**8 - 1]])).V.entries[0][1] == 1 - 2**8
+    with pytest.raises(BitBoundExceededError, match="entry exceeded 8 bits"):
+        smith_normal_form(IntegerMatrix([[1, 2**9]]))
+
+
 # ---------------------------------------------------------------------------
 # kernels, images, lattices
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from congrusep.errors import (
@@ -459,6 +459,48 @@ def test_table_screen_decides_each_signed_permutation_orbit_once(monkeypatch):
     for i, g in enumerate(decided):
         orbit = {p.unimodular_inverse() * g * p for p in SIGNED_PERMS_3}
         assert not orbit.intersection(decided[i + 1 :])
+
+
+@st.composite
+def _screen_heads(draw):
+    n = draw(st.integers(1, 3))
+    bound = draw(st.integers(0, 2))
+    entry = st.integers(-bound, bound)
+    head = [tuple(draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(n - 1)]
+    return n, bound, head
+
+
+@settings(max_examples=300, deadline=None)
+@given(_screen_heads())
+@example((3, 1, [(1, 0, 0), (1, 0, 0)]))  # cofactor vector 0: no last row
+@example((3, 2, [(2, 0, 1), (1, 0, 1)]))  # c = (0, -1, 0): r[2] free, held to [-2, 1]
+@example((3, 2, [(2, 1, 0), (0, 2, 1)]))  # c = (1, -2, 4): 4 r[2] = +-1 - r[0] + 2 r[1]
+@example((2, 2, [(2, 0)]))  # c = (0, 2): det is even, no last row
+@example((1, 2, []))
+def test_last_rows_are_the_unimodular_box_rows_in_the_trace_window(case):
+    n, bound, head = case
+    values = range(-bound, bound + 1)
+    expected = [
+        last
+        for last in itertools.product(values, repeat=n)
+        if separate.det_int(head + [last]) in (1, -1)
+        and abs(sum(head[i][i] for i in range(n - 1)) + last[n - 1]) <= n
+    ]
+    assert list(separate._last_rows(head, n, bound)) == expected
+
+
+def test_table_screen_takes_no_determinant_per_box_tuple(monkeypatch):
+    calls = 0
+    det_int = separate.det_int
+
+    def counting(rows):
+        nonlocal calls
+        calls += 1
+        return det_int(rows)
+
+    monkeypatch.setattr(separate, "det_int", counting)
+    assert validate_torsion_table(3, bound=1) == []
+    assert 0 < calls <= 3 * 3**6  # n cofactor minors per choice of the first two rows
 
 
 def _cyclotomic_products(n):
