@@ -16,7 +16,6 @@ Nothing in the core algorithms is randomized.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 
@@ -50,17 +49,14 @@ class RunConfig:
 
 def _load_json_arg(arg: str):
     """Accept either a file path or inline JSON (starts with '{' or '[')."""
-    text = arg
+    text: str | bytes = arg
     if not arg.lstrip().startswith(("{", "[")):
         try:
-            with open(arg, "r", encoding="utf-8") as handle:
+            with open(arg, "rb") as handle:
                 text = handle.read()
         except OSError as exc:
             raise InputError(f"cannot read {arg}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc}") from exc
+    return separate._decode_json(text, InputError, "invalid JSON")
 
 
 def _emit(data: dict, config: RunConfig) -> None:
@@ -228,11 +224,11 @@ def _cmd_witness_prime(args) -> int:
 
 def _verify_file(path: str, config: RunConfig) -> int:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    ok = separate.verify_certificate(text, cap=config.element_cap)
+    ok = separate.verify_certificate(data, cap=config.element_cap)
     if ok:
         _note(config, f"certificate {path} verified")
         return EXIT_OK

@@ -27,6 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from .errors import DimensionMismatchError, InputError, ResourceError
@@ -43,7 +44,7 @@ from .exactlin import (
     solve_integer_linear,
 )
 from .jordan import torsion_order
-from .modgrp import _closure
+from .modgrp import _closure, _Keyed
 
 #: Closure budget for the holonomy group; far above any finite
 #: crystallographic holonomy in small dimension.
@@ -112,22 +113,6 @@ class AffineElement:
         except (TypeError, InputError) as exc:
             raise InputError(f"bad holonomy matrix: {exc}") from exc
         return cls(t=tuple(t), S=s)
-
-
-class _ByHolonomy:
-    """A group element that compares and hashes by its holonomy part, so a
-    closure over these keeps the first element it reaches per matrix."""
-
-    __slots__ = ("element",)
-
-    def __init__(self, element: AffineElement):
-        self.element = element
-
-    def __eq__(self, other) -> bool:
-        return self.element.S == other.element.S
-
-    def __hash__(self) -> int:
-        return hash(self.element.S)
 
 
 class CrystGroup:
@@ -205,12 +190,13 @@ class CrystGroup:
             for cand in (g, g.inverse()):
                 if cand not in letters:
                     letters.append(cand)
-        maps = [lambda x, a=a: _ByHolonomy(x.element.compose(a)) for a in letters]
+        holonomy = attrgetter("S")
+        maps = [lambda x, a=a: _Keyed(x.value.compose(a), holonomy) for a in letters]
         elements, _ = _closure(
-            _ByHolonomy(AffineElement.identity(self.m)), maps, HOLONOMY_BUDGET,
+            _Keyed(AffineElement.identity(self.m), holonomy), maps, HOLONOMY_BUDGET,
             "choosing holonomy witnesses",
         )
-        return {x.element.S: x.element for x in elements}
+        return {x.key: x.value for x in elements}
 
     def _schreier_translations(self) -> list[tuple[Fraction, ...]]:
         """The vectors of w_h g w_(h S_g)^-1 over every holonomy h and

@@ -3,7 +3,9 @@
 The reduction homomorphism r_m : GL(n,Z) -> GL(n,Z/m) realizes finite-level
 images of infinite matrix groups.  Images of p-adic closures are represented
 here only through their finite quotients mod p^K; the tower of such images
-is all the downstream separation searches ever touch.
+is all the downstream separation searches ever touch.  ``witness_prime``
+enumerates only the level-1 image and reads the higher levels off a layered
+basis of the congruence kernel (``_kernel_basis``).
 
 Conjugacy classes mod m are full GL(n,Z/m)-orbits.  The integral conjugacy
 class of a matrix reduces *into* (possibly properly inside) its mod-m class,
@@ -25,9 +27,10 @@ residues in [0, m)), the body of the encoding above, because its
 conjugation maps act on tuples and packing each candidate costs more time
 than the class saves in memory.  ``ModMatrix`` objects are made only for
 single elements such as generators and representatives.  Subgroups,
-classes, crystallographic holonomy groups and their witnesses, and the
-words of the virtual-unipotency scan are all built by the one breadth-first
-loop ``_closure``; nothing outside this module reads either set directly.
+classes, crystallographic holonomy groups and their witnesses, the lifts of
+level-1 images, and the words of the virtual-unipotency scan are all built
+by the one breadth-first loop ``_closure``; nothing outside this module
+reads either set directly.
 """
 
 from __future__ import annotations
@@ -113,6 +116,28 @@ def _closure(
                     new_frontier.append(y)
         frontier = new_frontier
     return seen, False
+
+
+class _Keyed:
+    """A closure element that compares and hashes by ``key_of(value)``.
+
+    A closure over these keeps the first value it reaches per key, so the
+    values it returns form a Schreier transversal: the holonomy witnesses
+    of a crystallographic group (keyed by holonomy part) and the lifts of a
+    level-1 image (keyed by residues mod p).
+    """
+
+    __slots__ = ("key", "value")
+
+    def __init__(self, value, key_of: Callable):
+        self.key = key_of(value)
+        self.value = value
+
+    def __eq__(self, other) -> bool:
+        return self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
 
 
 def _product(a: tuple[int, ...], b: tuple[int, ...], n: int, m: int) -> tuple[int, ...]:
@@ -201,7 +226,10 @@ class ModMatrix:
 
     @classmethod
     def identity(cls, n: int, m: int) -> "ModMatrix":
-        return cls(n, m, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        # a unit, so no determinant is taken
+        if m < 2:
+            raise InputError(f"modulus must be >= 2, got {m}")
+        return cls._raw(n, m, tuple(int(i == j) for i in range(n) for j in range(n)))
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
@@ -696,6 +724,118 @@ def padic_level_image(
     if not gens and n is None:
         raise InputError("empty generating set needs an explicit dimension n")
     return congruence_image(gens, p**level, cap, n=n)
+
+
+def _sift(h: ModMatrix, layers: list[list[tuple]], p: int) -> tuple[int, ModMatrix, list[int]]:
+    """Divide h, congruent to I mod p, by basis elements layer by layer.
+
+    At layer i, h = I + p^i X mod p^(i+1), and X mod p is reduced against
+    the echelon basis of L_i; multiplying by b^e adds e times b's vector,
+    the layer being abelian.  Returns (i, h, X) at the first layer whose
+    residual X is nonzero, or (len(layers), h, []) with h = I mod p^N.
+    """
+    n, q = h.n, h.m
+    for i in range(1, len(layers)):
+        pi = p**i
+        v = [(e - (k % (n + 1) == 0)) % q // pi % p for k, e in enumerate(h.entries)]
+        for pivot, vec, powers, _ in layers[i]:
+            c = v[pivot]
+            if c:
+                # b's vector is 1 at its pivot, so b^(p - c) clears it
+                v = [(a - c * x) % p for a, x in zip(v, vec)]
+                h = h * powers[p - c]
+        if any(v):
+            return i, h, v
+    return len(layers), h, []
+
+
+def _kernel_basis(
+    gens: Sequence[IntegerMatrix], p: int, levels: int, cap: int, *, n: int
+) -> tuple[dict[tuple[int, ...], tuple[int, ...]], list[list[tuple]]]:
+    """Lifts of the level-1 image to G_N (N = ``levels``) and a layered
+    basis of the kernel P of G_N -> G_1, so that G_N is never enumerated.
+
+    Layer L_i is the image of P & Gamma(p^i) in (M_n(F_p), +) under
+    I + p^i X -> X mod p, so |G_K| = |G_1| p^(dim L_1 + ... + dim L_(K-1)).
+    The lifts are the first elements a closure of G_1 reaches per residue
+    mod p, a transversal of P, so P is generated by the Schreier generators
+    w_x g w_(xg)^(-1).  Each is sifted; a nonzero residual becomes a basis
+    element of its layer, scaled to 1 at its pivot and kept with its powers
+    below p and its inverse, and queues its p-th power and its commutators
+    with the basis.  The basis is then closed under both, an induced
+    polycyclic sequence of P, and sifting decides membership in P (Holt,
+    Eick and O'Brien, Handbook of Computational Group Theory, ch. 4 and 8).
+
+    Returns (lifts, layers): lifts maps the residues mod p of each element
+    of G_1 to the entries of its lift, and layers[i] is the basis of L_i
+    (layers[0] stays empty).  More than ``cap`` Schreier generators,
+    |G_1| times the number of generators, raise ResourceError before any
+    is sifted.
+    """
+    q = p**levels
+    identity = ModMatrix.identity(n, q)
+
+    def residues(entries: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(e % p for e in entries)
+
+    multipliers = [_right_multiplication(g) for g in dict.fromkeys(reduce(g, q) for g in gens)]
+    maps = [lambda x, f=f: _Keyed(f(x.value), residues) for f in multipliers]
+    tree, _ = _closure(
+        _Keyed(identity.entries, residues), maps, cap, "lifting the level-1 image"
+    )
+    lifts = {x.key: x.value for x in tree}
+    del tree
+    count = len(lifts) * len(multipliers)
+    if count > cap:
+        raise ResourceError(
+            f"element budget {cap} exceeded by {count} Schreier generators mod {q}",
+            partial_size=count,
+        )
+    layers: list[list[tuple]] = [[] for _ in range(levels)]
+
+    def absorb(s: ModMatrix) -> None:
+        pending = [s]
+        while pending:
+            i, h, v = _sift(pending.pop(), layers, p)
+            if not v:
+                continue
+            pivot = next(k for k, a in enumerate(v) if a)
+            e = pow(v[pivot], -1, p)
+            powers = [identity, h**e]
+            for _ in range(p - 1):
+                powers.append(powers[-1] * powers[1])
+            b, b_inv = powers[1], powers[1].inverse()
+            pending.append(powers.pop())  # b^p
+            pending.extend(
+                b_inv * c_inv * b * powers_c[1]
+                for layer in layers for _, _, powers_c, c_inv in layer
+            )
+            layers[i].append((pivot, [a * e % p for a in v], powers, b_inv))
+
+    for w in lifts.values():
+        for f in multipliers:
+            wg = f(w)
+            t = lifts[residues(wg)]
+            if wg != t:
+                absorb(ModMatrix._raw(n, q, wg) * ModMatrix._raw(n, q, t).inverse())
+    return lifts, layers
+
+
+def _padic_depth(
+    factor: RationalMatrix, gens: Sequence[IntegerMatrix], p: int, levels: int,
+    cap: int, *, n: int,
+) -> int:
+    """The largest K <= ``levels`` with factor mod p^K in the image G_K,
+    for an integral factor whose reduction mod p lies in G_1.
+
+    With x = factor mod p^N, N = ``levels``, x mod p^K lies in G_K iff
+    lift(x mod p)^(-1) x lies in P Gamma(p^K), that is iff it sifts through
+    layers 1 ... K-1 (``_kernel_basis``).  Only G_1 is enumerated.
+    """
+    lifts, layers = _kernel_basis(gens, p, levels, cap, n=n)
+    x = reduce(factor, p**levels)
+    lift = ModMatrix._raw(n, x.m, lifts[tuple(e % p for e in x.entries)])
+    return _sift(lift.inverse() * x, layers, p)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -347,6 +347,12 @@ def witness_prime(
     modulus order, consistent with the modulus schedule of the separation
     search.  A prime dividing the determinant escapes at level 1 with no
     image built: the reduction is not invertible there.
+
+    Only level-1 images are enumerated, under ``cap`` elements.  Every
+    higher level of a prime is answered from a layered basis of the
+    congruence kernel (``modgrp._padic_depth``), built when the schedule
+    reaches p^2; its Schreier generators, |G_1| times the number of
+    generators, are held to the same ``cap``.
     """
     if not is_semisimple(factor):
         raise PreconditionError("factor is not semisimple")
@@ -369,14 +375,22 @@ def witness_prime(
     levels = sorted(
         ((p**k, p, k) for p in primes for k in range(1, level_budget + 1))
     )
-    for modulus, p, level in levels:
-        # a prime dividing det(factor) is met first at level 1 (the levels
-        # ascend); the reduction lies outside GL(n, Z/p), hence outside the
-        # image, which is not built.  No image outlives its test, so the next
-        # level builds its image after this one is freed
-        if det % p == 0 or modgrp.reduce(factor, modulus) not in (
-            modgrp.padic_level_image(gamma_gens, p, level, cap, n=n)
-        ):
+    depths: dict[int, int] = {}
+    for _, p, level in levels:
+        # each prime is met first at level 1 (the levels ascend), where a
+        # prime dividing det(factor) escapes with no image built.  A prime
+        # that passes gets its depth when the schedule reaches p^2, so an
+        # escape at a smaller modulus pays for no kernel basis; only the
+        # depth outlives that level
+        if level == 1:
+            escapes = det % p == 0 or modgrp.reduce(factor, p) not in (
+                modgrp.padic_level_image(gamma_gens, p, 1, cap, n=n)
+            )
+        else:
+            if level == 2:
+                depths[p] = modgrp._padic_depth(factor, gamma_gens, p, level_budget, cap, n=n)
+            escapes = level > depths[p]
+        if escapes:
             return WitnessPrime(
                 factor=factor, prime=p, level=level, reason="image-escape"
             )
@@ -473,18 +487,28 @@ def _typed(value, kind: type, name: str):
     return value
 
 
-def parse_certificate(data: dict | str) -> SeparationCertificate | TorsionFreeCertificate:
-    """Parse certificate JSON (dict or text) into its dataclass.
+def _decode_json(text: str | bytes, error: type[InputError], what: str):
+    """Parse JSON text, bytes as UTF-8, raising ``error`` on every way the
+    decoding can fail: bad syntax, bytes that are not UTF-8 and an integer
+    past the interpreter's digit limit (ValueErrors all), and nesting past
+    the recursion limit (RecursionError)."""
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what}: {exc}") from exc
+
+
+def parse_certificate(
+    data: dict | str | bytes,
+) -> SeparationCertificate | TorsionFreeCertificate:
+    """Parse certificate JSON (dict, text, or UTF-8 bytes) into its dataclass.
 
     Raises MalformedCertificateError on schema violations, a field of the
     wrong JSON type among them; unknown extra keys are tolerated (the schema
     fields alone carry the claims).
     """
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise MalformedCertificateError(f"certificate is not valid JSON: {exc}") from exc
+    if isinstance(data, (str, bytes)):
+        data = _decode_json(data, MalformedCertificateError, "certificate is not valid JSON")
     _require(isinstance(data, dict), "certificate must be a JSON object")
     _require(data.get("version") == CERT_VERSION, "unsupported certificate version")
     kind = data.get("kind")
@@ -587,7 +611,7 @@ def _class_claims(
 
 
 def verify_certificate(
-    cert: SeparationCertificate | TorsionFreeCertificate | dict | str,
+    cert: SeparationCertificate | TorsionFreeCertificate | dict | str | bytes,
     *,
     cap: int = modgrp.DEFAULT_CAP,
 ) -> bool:
@@ -598,7 +622,7 @@ def verify_certificate(
     False).  Every field check that enumerates nothing comes before the
     first closure.
     """
-    if isinstance(cert, (dict, str)):
+    if isinstance(cert, (dict, str, bytes)):
         cert = parse_certificate(cert)
     if any(g.det() not in (1, -1) for g in cert.gamma_gens):
         return False

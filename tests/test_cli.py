@@ -480,6 +480,23 @@ def test_witness_prime_exhaustion_exit_code(capsys):
     assert err == "error: no witness prime at levels <= 4 for primes [2, 3, 5, 7, 11, 13, 17, 19, 23]\n"
 
 
+def test_witness_prime_element_cap_bounds_level_one_images(capsys):
+    # the cap bounds the level-1 images (at most 23 elements here) and the
+    # Schreier generators, not the images at p^K, so 1000 suffices where
+    # the 23^4-element image would not
+    identity = '{"n":2,"entries":[["1","0"],["0","1"]]}'
+    code, out, err = run_cli(
+        ["witness-prime", identity, U_GENS, "--element-cap", "1000"], capsys
+    )
+    assert (code, out) == (4, "")
+    assert err == "error: no witness prime at levels <= 4 for primes [2, 3, 5, 7, 11, 13, 17, 19, 23]\n"
+    code, out, err = run_cli(
+        ["witness-prime", identity, U_GENS, "--element-cap", "22"], capsys
+    )
+    assert (code, out) == (4, "")
+    assert err == "error: element budget 22 exceeded while generating subgroup\n"
+
+
 # ---------------------------------------------------------------------------
 # fresh-process behavior
 # ---------------------------------------------------------------------------
@@ -543,3 +560,43 @@ def test_subcommands_register_only_the_flags_they_read(command, args, flag):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args([command, *args, flag])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# JSON readers: every way decoding fails exits 2
+# ---------------------------------------------------------------------------
+
+# past the interpreter's default limit of 4,300 digits for int(str)
+HUGE_INT = "9" * 5000
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
+
+
+def _certificate_with_huge_n(capsys, tmp_path):
+    cert = tmp_path / "cert.json"
+    run_cli(["avoid", U_GENS, NEG_I, "--output", str(cert)], capsys)
+    text = cert.read_text().replace('"n":2', f'"n":{HUGE_INT}', 1)
+    assert HUGE_INT in text
+    cert.write_text(text)
+    return cert
+
+
+@pytest.mark.parametrize("make", [
+    lambda capsys, tmp_path: ["jordan", str(_write(tmp_path, HUGE_INT.encode()))],
+    lambda capsys, tmp_path: ["avoid", "--verify-only", str(_certificate_with_huge_n(capsys, tmp_path))],
+    lambda capsys, tmp_path: ["jordan", DEEP_ARRAY],
+    lambda capsys, tmp_path: ["avoid", "--verify-only", str(_write(tmp_path, DEEP_ARRAY.encode()))],
+    lambda capsys, tmp_path: ["avoid", "--verify-only", str(_write(tmp_path, b'{"n": "\xff"}'))],
+    lambda capsys, tmp_path: ["witness-prime", NEG_I, str(_write(tmp_path, b"[\xff]"))],
+], ids=["huge-int-argument", "huge-int-certificate", "deep-argument", "deep-certificate",
+        "non-utf8-certificate", "non-utf8-argument"])
+def test_json_decoding_failures_exit_2(make, capsys, tmp_path):
+    argv = make(capsys, tmp_path)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "\n" == err[-1] and err.count("\n") == 1
+
+
+def _write(tmp_path, data: bytes):
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    return path

@@ -95,6 +95,20 @@ def test_mod_matrix_requires_unit_det():
         ModMatrix(2, 4, [2, 0, 0, 1])
 
 
+def test_mod_matrix_identity_takes_no_determinant(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("the identity's determinant was taken")
+
+    x = reduce(U, 7)
+    monkeypatch.setattr(modgrp, "det_int", refuse)
+    eye = ModMatrix.identity(50, 7)
+    assert eye.entries == tuple(int(i == j) for i in range(50) for j in range(50))
+    # a power starts from the identity
+    assert x**7 == x**0 == ModMatrix.identity(2, 7)
+    with pytest.raises(InputError, match="modulus must be >= 2"):
+        ModMatrix.identity(2, 1)
+
+
 def test_mod_matrix_inverse():
     x = reduce(U, 9)
     assert x * x.inverse() == ModMatrix.identity(2, 9)

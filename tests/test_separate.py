@@ -31,13 +31,14 @@ from congrusep.separate import (
     verify_certificate,
     witness_prime,
 )
-from congrusep.jordan import euler_phi, torsion_order
+from congrusep.jordan import euler_phi, is_semisimple, torsion_order
 from helpers import (
     brute_force_closure,
     brute_force_gl,
     cyclotomic_polynomial,
     klein_bottle_lift,
     mat_mul_mod,
+    random_gl_element,
     screen_reference,
     signed_permutation_matrices,
     traced_peak,
@@ -297,6 +298,7 @@ def _no_images(monkeypatch):
         raise AssertionError("an image was built before the input was checked")
 
     monkeypatch.setattr(modgrp, "padic_level_image", refuse)
+    monkeypatch.setattr(modgrp, "generate", refuse)
 
 
 @pytest.mark.parametrize("budget", [0, -1])
@@ -316,6 +318,117 @@ def test_witness_prime_rejects_non_prime_before_any_level(monkeypatch, schedule)
 def test_witness_prime_requires_semisimple():
     with pytest.raises(PreconditionError):
         witness_prime(U.to_rational(), [U])
+
+
+@st.composite
+def _padic_cases(draw):
+    """n in {2, 3}, p in {2, 3, 5}, one or two generators, a level budget
+    <= 3 and an integral factor: mostly a word in the generators times
+    I + p^j Y, so that it escapes at any level or none, sometimes an
+    arbitrary element of GL(n, Z)."""
+    n = draw(st.sampled_from([2, 3]))
+    p = draw(st.sampled_from([2, 3, 5]))
+    budget = draw(st.integers(1, 3))
+    rng = draw(st.randoms(use_true_random=False))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        g = random_gl_element(rng, n, rng.randrange(4))
+        if rng.random() < 0.6:
+            # a factor in Gamma(p) keeps the higher levels small
+            rows = [[int(i == j) for j in range(n)] for i in range(n)]
+            i, j = rng.sample(range(n), 2)
+            rows[i][j] = rng.choice([1, -1, 2]) * p ** rng.randrange(1, 3)
+            g = IntegerMatrix(rows) if rng.random() < 0.5 else g * IntegerMatrix(rows)
+        gens.append(g)
+    if rng.random() < 0.2:
+        factor = random_gl_element(rng, n, 3)
+    else:
+        factor = IntegerMatrix.identity(n)
+        for _ in range(rng.randrange(4)):
+            factor = factor * rng.choice(gens)
+        q = p ** rng.randrange(1, 4)
+        factor = factor * IntegerMatrix(
+            [[int(i == j) + q * rng.randrange(-3, 4) for j in range(n)] for i in range(n)]
+        )
+    return n, p, budget, gens, factor
+
+
+@settings(max_examples=150, deadline=None)
+@given(_padic_cases())
+def test_witness_prime_matches_enumerated_levels(case):
+    """The level witness_prime reports is the first K with the factor mod
+    p^K outside padic_level_image (the oracle), and each order
+    |G_1| p^(dim L_1 + ... + dim L_(K-1)) of the layered kernel basis is
+    the enumerated image's size.  p = 2 is drawn on purpose:
+    (I + 2X)^2 = I + 4(X + X^2), so squares leave the layer of X."""
+    n, p, budget, gens, factor = case
+    assume(is_semisimple(factor.to_rational()))
+    images = []
+    for level in range(1, budget + 1):
+        try:
+            images.append(modgrp.padic_level_image(gens, p, level, 20_000, n=n))
+        except ResourceError:
+            break  # check the levels the oracle can enumerate
+    budget = len(images)
+    assume(budget >= 1)
+    lifts, layers = modgrp._kernel_basis(gens, p, budget, modgrp.DEFAULT_CAP, n=n)
+    for level, image in enumerate(images, start=1):
+        dims = sum(len(layer) for layer in layers[1:level])
+        assert len(lifts) * p**dims == image.size
+    escape = next(
+        (
+            level
+            for level, image in enumerate(images, start=1)
+            if factor.det() % p == 0 or modgrp.reduce(factor, p**level) not in image
+        ),
+        None,
+    )
+    if escape is None:
+        with pytest.raises(ScheduleExhaustedError):
+            witness_prime(factor.to_rational(), gens, [p], budget)
+    else:
+        w = witness_prime(factor.to_rational(), gens, [p], budget)
+        assert (w.prime, w.level, w.reason) == (p, escape, "image-escape")
+
+
+def test_witness_prime_generates_only_level_one_images(monkeypatch):
+    # the benchmark's padic-exhaust input: the identity against <U> over the
+    # default primes and levels.  Only the level-1 images are closed
+    moduli = []
+    generate = modgrp.generate
+
+    def record(gens, *args, **kwargs):
+        image = generate(gens, *args, **kwargs)
+        moduli.append((image.m, image.size))
+        return image
+
+    monkeypatch.setattr(modgrp, "generate", record)
+    with pytest.raises(ScheduleExhaustedError) as info:
+        witness_prime(RationalMatrix.identity(2), [U])
+    assert info.value.largest_tried == 23**4
+    # U has order p mod p: 2 + 3 + ... + 23 = 100 elements in all
+    assert moduli == [(p, p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)]
+
+
+def test_witness_prime_refuses_schreier_generators_over_cap(monkeypatch):
+    # <U, L> mod 3 is SL(2, F_3): 24 elements close under a cap of 40, but
+    # its 24 * 2 = 48 Schreier generators do not, and none is sifted
+    def refuse(*args):
+        raise AssertionError("a Schreier generator was sifted over budget")
+
+    monkeypatch.setattr(modgrp, "_sift", refuse)
+    L = IntegerMatrix([[1, 0], [1, 1]])
+    with pytest.raises(ResourceError, match="48 Schreier generators"):
+        witness_prime(RationalMatrix.identity(2), [U, L], [3], 2, cap=40)
+
+
+def test_witness_prime_builds_no_kernel_basis_before_p_squared():
+    # <U^5, L^5> mod 3 is SL(2, F_3) and holds -I, but mod 5 the image is
+    # trivial, so -I escapes at modulus 5 < 9, before the 48 Schreier
+    # generators of the prime 3 would go over the cap
+    L = IntegerMatrix([[1, 0], [1, 1]])
+    w = witness_prime(-RationalMatrix.identity(2), [U**5, L**5], [3, 5], 2, cap=40)
+    assert (w.prime, w.level, w.reason) == (5, 1, "image-escape")
 
 
 # ---------------------------------------------------------------------------
