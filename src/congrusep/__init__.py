@@ -30,7 +30,6 @@ from .exactlin import (
 )
 from .jordan import (
     JordanPair,
-    conjugate_decomposition,
     is_semisimple,
     is_unipotent,
     is_virtually_unipotent_witness,
@@ -65,7 +64,6 @@ from .cryst import (
     GLEmbedding,
     SemiFactorSet,
     affine_jordan,
-    embed_affine,
     lift_to_gl,
     semifactor_representatives,
     splitting,

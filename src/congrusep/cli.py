@@ -34,14 +34,11 @@ EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
 EXIT_VERIFY_FAILED = 5
 
-_DEFAULT_SCAN_WORDLEN = 3
-
 
 @dataclass
 class RunConfig:
     schedule: list[int] | None
     element_cap: int
-    word_length: int
     output: str | None
     full: bool
     verbose: bool
@@ -75,7 +72,7 @@ def _note(config: RunConfig, message: str) -> None:
 
 def _config_from_args(args) -> RunConfig:
     schedule = None
-    if getattr(args, "modulus_schedule", None):
+    if getattr(args, "modulus_schedule", None) is not None:
         try:
             schedule = [int(x) for x in args.modulus_schedule.split(",") if x.strip()]
         except ValueError as exc:
@@ -84,13 +81,9 @@ def _config_from_args(args) -> RunConfig:
     cap = getattr(args, "element_cap", modgrp.DEFAULT_CAP)
     if cap <= 0:
         raise InputError("--element-cap must be positive")
-    wordlen = getattr(args, "word_length", _DEFAULT_SCAN_WORDLEN)
-    if wordlen <= 0:
-        raise InputError("--word-length must be positive")
     return RunConfig(
         schedule=schedule,
         element_cap=cap,
-        word_length=wordlen,
         output=getattr(args, "output", None),
         full=getattr(args, "full", False),
         verbose=getattr(args, "verbose", False),
@@ -104,23 +97,21 @@ def _parse_gens(data) -> list[IntegerMatrix]:
 
 
 def _vu_scan_note(config: RunConfig, gens: list[IntegerMatrix]) -> None:
-    """Advisory bounded scan; results go to stderr, never into certificates."""
+    """Advisory virtual-unipotency decision: it goes to stderr, never into a
+    certificate, and changes no exit code."""
     if len({g.n for g in gens}) > 1:  # the search's input error, before any product
         raise InputError("generators of mixed dimension")
-    wordlen = config.word_length
-    consistent = jordan.is_virtually_unipotent_witness(gens, wordlen)
-    if consistent:
-        print(
-            f"note: generators consistent with virtual unipotency up to word"
-            f" length {wordlen} (bounded scan, not a proof)",
-            file=sys.stderr,
-        )
+    try:
+        decided = jordan.is_virtually_unipotent_witness(gens, config.element_cap)
+    except ResourceError:
+        print("note: virtual unipotency not decided: the mod-3 image exceeds"
+              " --element-cap", file=sys.stderr)
+        return
+    if decided:
+        print("note: generators are virtually unipotent", file=sys.stderr)
     else:
-        print(
-            f"warning: generators are NOT virtually unipotent (refuted at word"
-            f" length <= {wordlen}); the separation search may exhaust its schedule",
-            file=sys.stderr,
-        )
+        print("warning: generators are NOT virtually unipotent; the separation"
+              " search may exhaust its schedule", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +238,10 @@ def _add_flags(
 ) -> None:
     """Register the flags a subcommand reads: --output always, --element-cap
     with ``cap``, --full with ``full``, and with ``search`` the flags of the
-    searches and their verification (--word-length, -v, --modulus-schedule)."""
+    searches and their verification (-v, --modulus-schedule)."""
     if cap:
         parser.add_argument("--element-cap", type=int, default=modgrp.DEFAULT_CAP,
                             help="budget for group/orbit enumeration")
-    if search:
-        parser.add_argument("--word-length", type=int, default=_DEFAULT_SCAN_WORDLEN,
-                            help="word length of the advisory virtual-unipotency"
-                                 " scan run before the search")
     parser.add_argument("--output", help="write result JSON to FILE instead of stdout")
     if full:
         parser.add_argument("--full", action="store_true",

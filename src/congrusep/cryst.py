@@ -44,7 +44,7 @@ from .exactlin import (
     solve_integer_linear,
 )
 from .jordan import torsion_order
-from .modgrp import _closure, _Keyed
+from .modgrp import _closure, _transversal
 
 #: Closure budget for the holonomy group; far above any finite
 #: crystallographic holonomy in small dimension.
@@ -185,18 +185,11 @@ class CrystGroup:
     def _first_witnesses(self) -> dict[IntegerMatrix, AffineElement]:
         """The first element a breadth-first walk over words in g, g^-1
         reaches for each holonomy matrix."""
-        letters = []
-        for g in self.generators:
-            for cand in (g, g.inverse()):
-                if cand not in letters:
-                    letters.append(cand)
-        holonomy = attrgetter("S")
-        maps = [lambda x, a=a: _Keyed(x.value.compose(a), holonomy) for a in letters]
-        elements, _ = _closure(
-            _Keyed(AffineElement.identity(self.m), holonomy), maps, HOLONOMY_BUDGET,
-            "choosing holonomy witnesses",
+        letters = dict.fromkeys(x for g in self.generators for x in (g, g.inverse()))
+        return _transversal(
+            AffineElement.identity(self.m), [lambda x, a=a: x.compose(a) for a in letters],
+            attrgetter("S"), HOLONOMY_BUDGET, "choosing holonomy witnesses",
         )
-        return {x.key: x.value for x in elements}
 
     def _schreier_translations(self) -> list[tuple[Fraction, ...]]:
         """The vectors of w_h g w_(h S_g)^-1 over every holonomy h and
@@ -546,30 +539,12 @@ def _embed_element(group: CrystGroup, e: AffineElement, denom: int) -> IntegerMa
     return IntegerMatrix(rows)
 
 
-def embed_affine(group: CrystGroup) -> list[IntegerMatrix]:
-    """Embed the generators into GL(m+1, Z).
-
-    Lattice coordinates first, then the smallest D >= 1 clearing every
-    generator translation.  The embedding is a homomorphism (verified on all
-    generator pairs) and each image has determinant ±1.
-    """
-    denom = _embedding_for(group, group.generators)
-    images = [_embed_element(group, g, denom) for g in group.generators]
-    for g1, img1 in zip(group.generators, images):
-        for g2, img2 in zip(group.generators, images):
-            if img1 * img2 != _embed_element(group, g1.compose(g2), denom):
-                raise AssertionError("affine embedding is not a homomorphism")
-    for img in images:
-        if img.det() not in (1, -1):
-            raise AssertionError("embedded generator is not unimodular")
-    return images
-
-
 def lift_to_gl(group: CrystGroup) -> GLEmbedding:
     """Embed the group together with all its semisimple factor
     representatives into one GL(m+1, Z), sharing a single denominator, and
     return the GLEmbedding for the caller to feed into the separation
-    searches.
+    searches.  The embedding is a homomorphism (verified on all generator
+    pairs) and each image has determinant +-1.
     """
     factors = semifactor_representatives(group)
     factor_elements = [
@@ -580,6 +555,10 @@ def lift_to_gl(group: CrystGroup) -> GLEmbedding:
     denom = _embedding_for(group, list(group.generators) + factor_elements)
     gen_images = tuple(_embed_element(group, g, denom) for g in group.generators)
     factor_images = tuple(_embed_element(group, e, denom) for e in factor_elements)
+    for g1, img1 in zip(group.generators, gen_images):
+        for g2, img2 in zip(group.generators, gen_images):
+            if img1 * img2 != _embed_element(group, g1.compose(g2), denom):
+                raise AssertionError("affine embedding is not a homomorphism")
     for img in gen_images + factor_images:
         if img.det() not in (1, -1):
             raise AssertionError("embedded element is not unimodular")

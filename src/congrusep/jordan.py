@@ -9,27 +9,33 @@ most ceil(log2 n) steps; no approximation is involved at any stage.
 
 Torsion is decided exactly by Minkowski's lemma: a torsion element of
 GL(n,Z) has the order of its reduction mod 3, and every finite order divides
-L(n) and is at most M(n), so the cost is bounded for any n.
+L(n) and is at most M(n), so the cost is bounded for any n.  A group is
+virtually unipotent iff K, its kernel of reduction mod 3, is unipotent: that
+is decided exactly from the Schreier generators of K, or refuted earlier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from math import comb, lcm, prod
+from itertools import combinations
+from math import comb, factorial, gcd, lcm, prod
+from operator import mul
 
-from .errors import PreconditionError, SingularMatrixError
+from .errors import PreconditionError, ResourceError, SingularMatrixError
 from .exactlin import (
     IntegerMatrix,
     Polynomial,
     RationalMatrix,
+    _adjugate_inverse,
     _power,
     char_poly,
+    det_int,
     factorize,
     poly_xgcd,
     squarefree_part,
 )
-from .modgrp import _closure, _product
+from .modgrp import _product, _transversal, congruence_image
 
 _MAX_NEWTON_STEPS = 64  # ceil(log2 n) + slack; evaluated exactly, never hit
 
@@ -132,20 +138,6 @@ def is_unipotent(g: RationalMatrix | IntegerMatrix) -> bool:
     return (g - RationalMatrix.identity(n)) ** n == RationalMatrix.zeros(n)
 
 
-def conjugate_decomposition(
-    g: RationalMatrix | IntegerMatrix, h: RationalMatrix | IntegerMatrix
-) -> JordanPair:
-    """Jordan decomposition of h^(-1) g h.
-
-    Equals the conjugate of g's decomposition componentwise (conjugation
-    commutes with taking semisimple/unipotent parts), which tests exercise
-    exactly.
-    """
-    g, h = _as_rational(g), _as_rational(h)
-    _require_invertible(h)
-    return jordan_decompose(h.inverse() * g * h)
-
-
 # ---------------------------------------------------------------------------
 # torsion orders from Minkowski's lemma
 # ---------------------------------------------------------------------------
@@ -212,72 +204,123 @@ def torsion_order(g: IntegerMatrix) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# bounded virtual-unipotency scan
+# virtual unipotency, decided through the mod-3 congruence kernel
 # ---------------------------------------------------------------------------
 
+#: F(n), the largest order of a finite subgroup of GL(n,Q), for n <= 10; 2^n n!
+#: beyond (S. Friedland, "The maximal orders of finite subgroups in GL_n(Q)", 1997).
+_MAX_FINITE_SUBGROUP = (2, 12, 48, 1152, 3840, 103680, 2903040, 696729600, 1393459200, 8360755200)
 
-#: Most distinct words the virtual-unipotency scan may hold; more raise
-#: ResourceError.
-_WORD_SCAN_BUDGET = 10**5
+
+def _mod3_image_bound(n: int) -> int:
+    """B(n) = F(n) 3^(n(n-1)/2): a larger mod-3 image refutes virtual unipotency."""
+    f = _MAX_FINITE_SUBGROUP[n - 1] if n <= 10 else 2**n * factorial(n)
+    return f * 3 ** (n * (n - 1) // 2)
 
 
-def bounded_words(gens: list[IntegerMatrix], wordlen: int) -> set[IntegerMatrix]:
-    """All distinct products of length <= wordlen over gens and inverses.
+def _times_columns(a: tuple, cols: tuple) -> tuple:
+    """The rows of a b, for b given by its columns (row tuples skip the
+    entry checks of ``IntegerMatrix``)."""
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
-    The words are the closure of {I} under right multiplication by the
-    letters, cut at depth ``wordlen`` (``modgrp._closure``).  More than
-    ``_WORD_SCAN_BUDGET`` words raise ResourceError: the count grows
-    exponentially in wordlen for most generators.
+
+def _echelon_insert(echelon: list[tuple[int, list[int]]], v: list[int]) -> bool:
+    """Reduce the integer vector v, without fractions, against ``echelon``:
+    pairs (pivot, row), each row 0 at every earlier pivot.  Append the
+    remainder over its content when it is not 0; True iff v enlarged the span."""
+    for pivot, row in echelon:
+        c = v[pivot]
+        if c:
+            d = row[pivot]
+            v = [d * a - c * b for a, b in zip(v, row)]
+    pivot = next((i for i, a in enumerate(v) if a), None)
+    if pivot is None:
+        return False
+    content = gcd(*v)
+    echelon.append((pivot, [a // content for a in v]))
+    return True
+
+
+def is_virtually_unipotent_witness(gens: list[IntegerMatrix], cap: int) -> bool:
+    """True iff the group G generated by gens in GL(n,Z) is virtually
+    unipotent, decided exactly through K, the kernel of reduction mod 3.
+    ResourceError means not decided: ``cap`` < B(n) stopped the mod-3 closure.
+
+    An element w = I mod 3 whose eigenvalues z are roots of unity is
+    unipotent: (z - 1)/3 is an algebraic integer, and for z of order d > 1
+    its norm +-Phi_d(1)/3^phi(d) is not (Serre, appendix to "Rigidité du
+    foncteur de Jacobi d'échelon n >= 3").  K has finite index, so G is
+    virtually unipotent iff each of its elements has root-of-unity
+    eigenvalues, iff K is unipotent.  Three steps decide it:
+
+    1. A generator, or a product of two, refutes at once unless its
+       eigenvalues are roots of unity, that is char_poly(w^k) = (x - 1)^n
+       for k its order mod 3.  Such a w has a semisimple part of order
+       r | L(n), r <= M(n), and (I + N)^(3^c) = I mod 3 once 3^c >= n: so
+       k | L(n) 3^c and k <= M(n) 3^c, or w is refuted.
+    2. The mod-3 image is closed under min(B(n), ``cap``), and more than
+       B(n) = F(n) 3^(n(n-1)/2) elements refute.  If K is unipotent, the
+       flag W_k of step 3 is G-invariant (K is normal) and K acts trivially
+       on each W_k / W_(k+1), so G acts on their sum through G/K as a
+       finite subgroup of GL(n,Q), of order at most F(n), whose kernel N is
+       unipotent.  N mod 3 is a 3-group, of order at most 3^(n(n-1)/2), and
+       |G mod 3| <= [G : N] |N mod 3| <= B(n).
+    3. K is generated by the Schreier generators s = w_x g w_(xg)^-1 over
+       the lifts w_x of the image (``modgrp._transversal``), and it is
+       unipotent iff W_0 = Q^n, W_(k+1) = sum_s (s - I) W_k reaches 0:
+       Kolchin's flag contains the W_k, and conversely each s acts trivially
+       on every W_k / W_(k+1), so s^-1 and every product do too.  The chain
+       decreases, so it reaches 0 within n steps if at all, and it depends
+       only on the span of the s - I, of dimension at most n^2.  Only the s
+       that enlarge the span are kept; one whose characteristic polynomial
+       is not (x - 1)^n refutes at once.
     """
-    if wordlen < 0:
-        raise PreconditionError("word length must be nonnegative")
     if not gens:
-        return set()
+        return True
     n = gens[0].n
-    letters = []
-    for g in gens:
-        if g.det() not in (1, -1):
-            raise PreconditionError("generators must lie in GL(n,Z)")
-        for mat in (g, g.unimodular_inverse()):
-            if mat not in letters:
-                letters.append(mat)
-    words, _ = _closure(
-        IntegerMatrix.identity(n),
-        [lambda w, a=a: w * a for a in letters],
-        _WORD_SCAN_BUDGET,
-        "running the virtual-unipotency word scan",
-        depth=wordlen,
-    )
-    return words
-
-
-def is_virtually_unipotent_witness(gens: list[IntegerMatrix], wordlen: int) -> bool:
-    """Bounded necessary-condition scan for virtual unipotency.
-
-    True iff every word of length <= wordlen over gens and their inverses has
-    a torsion semisimple part, i.e. only roots of unity as eigenvalues (w and
-    s share them: w = s * u with u unipotent commuting with s).  It can
-    refute but never prove virtual unipotency; callers should label results
-    "consistent up to word length L".
-
-    Decided mod 3: with k the order of w mod 3, the eigenvalues of w are
-    roots of unity iff char_poly(w^k) = (x - 1)^n.  If they are, so is each
-    eigenvalue z of w^k, and (z - 1)/3 is an algebraic integer because
-    (w^k - I)/3 is integral; for z a primitive d-th root with d > 1 its norm
-    +-Phi_d(1)/3^phi(d) is no integer, so z = 1 (Serre, "Rigidité du
-    foncteur de Jacobi d'échelon n >= 3", appendix).  The converse is clear.
-    k is bounded too: s has order r dividing L(n), r <= M(n), w^r = u^r is
-    unipotent and integral, and (I + N)^(3^c) = I mod 3 once 3^c >= n; so
-    k | L(n) * 3^c and k <= M(n) * 3^c, or w is refuted with no exact power.
-    """
-    n = gens[0].n if gens else 1  # no gens: no words, nothing to refute
+    if any(g.det() not in (1, -1) for g in gens):
+        raise PreconditionError("generators must lie in GL(n,Z)")
     unipotent_part = min(3**c for c in range(n) if 3**c >= n)  # least 3^c >= n
     exponent = _orders_lcm(n) * unipotent_part
-    bound = max_torsion_order(n) * unipotent_part
+    order_bound = max_torsion_order(n) * unipotent_part
     # (x - 1)^n, ascending integer coefficients (-1)^(n-i) C(n, i)
     target = tuple((-1) ** (n - i) * comb(n, i) for i in range(n + 1))
-    for w in bounded_words(gens, wordlen):
+    for w in gens + [a * b for a, b in combinations(gens, 2)]:
         k = _order_mod3(w, exponent)
-        if k is None or k > bound or char_poly(w**k).coeffs != target:
+        if k is None or k > order_bound or char_poly(w**k).coeffs != target:
             return False
-    return True
+    bound = _mod3_image_bound(n)
+    try:
+        image = congruence_image(gens, 3, min(bound, cap), n=n)
+    except ResourceError:
+        if cap < bound:
+            raise
+        return False
+
+    def residues(w: tuple) -> tuple[int, ...]:
+        return tuple(x % 3 for row in w for x in row)
+
+    times = [partial(_times_columns, cols=tuple(zip(*g.entries))) for g in dict.fromkeys(gens)]
+    lifts = _transversal(IntegerMatrix.identity(n).entries, times, residues, image.size,
+                         "lifting the mod-3 image")
+    inverse_columns = {k: tuple(zip(*_adjugate_inverse(w, det_int(w)))) for k, w in lifts.items()}
+    span, kept = [], []  # an echelon basis of the s - I, and those that enlarged it
+    for w in lifts.values():
+        for g in times:
+            wg = g(w)
+            key = residues(wg)
+            if wg != lifts[key]:
+                s = _times_columns(wg, inverse_columns[key])
+                x = [[a - (i == j) for j, a in enumerate(row)] for i, row in enumerate(s)]
+                if _echelon_insert(span, [a for row in x for a in row]):
+                    if char_poly(IntegerMatrix(s)).coeffs != target:
+                        return False
+                    kept.append(x)
+    flag = [[int(i == j) for j in range(n)] for i in range(n)]  # W_0
+    for _ in range(n):
+        image_of_flag: list[tuple[int, list[int]]] = []
+        for x in kept:
+            for v in flag:
+                _echelon_insert(image_of_flag, [sum(a * b for a, b in zip(row, v)) for row in x])
+        flag = [row for _, row in image_of_flag]
+    return not flag

@@ -27,10 +27,9 @@ residues in [0, m)), the body of the encoding above, because its
 conjugation maps act on tuples and packing each candidate costs more time
 than the class saves in memory.  ``ModMatrix`` objects are made only for
 single elements such as generators and representatives.  Subgroups,
-classes, crystallographic holonomy groups and their witnesses, the lifts of
-level-1 images, and the words of the virtual-unipotency scan are all built
-by the one breadth-first loop ``_closure``; nothing outside this module
-reads either set directly.
+classes, crystallographic holonomy groups and the Schreier transversals of
+``_transversal`` are all built by the one breadth-first loop ``_closure``;
+nothing outside this module reads either set directly.
 """
 
 from __future__ import annotations
@@ -64,17 +63,13 @@ from .exactlin import (
 DEFAULT_CAP = 10**7
 
 
-def _closure(
-    start, maps, cap: int, what: str, stop=None, key=None, depth=None
-) -> tuple[set, bool]:
+def _closure(start, maps, cap: int, what: str, stop=None, key=None) -> tuple[set, bool]:
     """Breadth-first closure of {start} under the given maps.
 
     Returns (closure, False), or (partial, True) as soon as an element lies
     in ``stop`` (``start`` included).  More than ``cap`` elements raise
     ResourceError carrying the partial size; ``what`` names the computation
-    in its message.  With ``depth`` the closure keeps only the elements at
-    most ``depth`` maps from ``start`` (``jordan.bounded_words``, the words
-    of bounded length); the depth is checked once per level.
+    in its message.
 
     The maps act on elements as given; with ``key`` the returned set holds
     ``key(y)`` for each element y instead of y (``stop`` is still tested on
@@ -93,12 +88,7 @@ def _closure(
     if stop is not None and start in stop:
         return seen, True
     frontier = [start]
-    # one pass per level.  A one-generator closure has one element per
-    # level, so per-level work is per-element work there: an unbounded
-    # closure pays one iterator step per level for the depth
-    for _ in itertools.repeat(None) if depth is None else range(depth):
-        if not frontier:
-            break
+    while frontier:
         new_frontier = []
         for x in frontier:
             for f in maps:
@@ -119,13 +109,7 @@ def _closure(
 
 
 class _Keyed:
-    """A closure element that compares and hashes by ``key_of(value)``.
-
-    A closure over these keeps the first value it reaches per key, so the
-    values it returns form a Schreier transversal: the holonomy witnesses
-    of a crystallographic group (keyed by holonomy part) and the lifts of a
-    level-1 image (keyed by residues mod p).
-    """
+    """A closure element that compares and hashes by ``key_of(value)``."""
 
     __slots__ = ("key", "value")
 
@@ -138,6 +122,18 @@ class _Keyed:
 
     def __hash__(self) -> int:
         return hash(self.key)
+
+
+def _transversal(start, maps, key_of: Callable, cap: int, what: str) -> dict:
+    """{key_of(x): x} for the first x per key that a breadth-first closure of
+    {start} under ``maps`` reaches; more than ``cap`` keys raise ResourceError.
+    For right multiplications by generators and a homomorphism ``key_of``,
+    this is a Schreier transversal of its kernel: holonomy witnesses (keyed
+    by holonomy part) and the lifts of a level-1 or mod-3 image (residues).
+    """
+    keyed = [lambda x, f=f: _Keyed(f(x.value), key_of) for f in maps]
+    tree, _ = _closure(_Keyed(start, key_of), keyed, cap, what)
+    return {x.key: x.value for x in tree}
 
 
 def _product(a: tuple[int, ...], b: tuple[int, ...], n: int, m: int) -> tuple[int, ...]:
@@ -779,12 +775,7 @@ def _kernel_basis(
         return tuple(e % p for e in entries)
 
     multipliers = [_right_multiplication(g) for g in dict.fromkeys(reduce(g, q) for g in gens)]
-    maps = [lambda x, f=f: _Keyed(f(x.value), residues) for f in multipliers]
-    tree, _ = _closure(
-        _Keyed(identity.entries, residues), maps, cap, "lifting the level-1 image"
-    )
-    lifts = {x.key: x.value for x in tree}
-    del tree
+    lifts = _transversal(identity.entries, multipliers, residues, cap, "lifting the level-1 image")
     count = len(lifts) * len(multipliers)
     if count > cap:
         raise ResourceError(

@@ -26,7 +26,7 @@ from congrusep.exactlin import (
     factorize,
     poly_gcd,
 )
-from congrusep.jordan import euler_phi, torsion_order
+from congrusep.jordan import JordanPair, euler_phi, jordan_decompose, torsion_order
 from congrusep.separate import torsion_class_table
 
 
@@ -119,6 +119,27 @@ def words_by_level(letters: list, depth: int, identity) -> set:
     for _ in range(depth):
         words = words | {w * a for w in words for a in letters}
     return words
+
+
+def bounded_words(gens: list[IntegerMatrix], wordlen: int) -> set[IntegerMatrix]:
+    """Every distinct product of at most ``wordlen`` letters, the letters
+    being gens and their inverses (oracle for the virtual-unipotency
+    decision: each word of a virtually unipotent group has root-of-unity
+    eigenvalues)."""
+    if not gens:
+        return set()
+    letters = list(dict.fromkeys(x for g in gens for x in (g, g.unimodular_inverse())))
+    return words_by_level(letters, wordlen, IntegerMatrix.identity(gens[0].n))
+
+
+def conjugate_decomposition(
+    g: RationalMatrix | IntegerMatrix, h: RationalMatrix | IntegerMatrix
+) -> JordanPair:
+    """Jordan decomposition of h^(-1) g h (oracle: conjugation commutes with
+    taking semisimple and unipotent parts, so it must equal the conjugate of
+    g's decomposition componentwise)."""
+    g, h = (x.to_rational() if isinstance(x, IntegerMatrix) else x for x in (g, h))
+    return jordan_decompose(h.inverse() * g * h)
 
 
 def traced_peak(run) -> int:

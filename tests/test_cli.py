@@ -2,7 +2,6 @@ import hashlib
 import json
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -174,8 +173,8 @@ UL_GENS = (
     '[{"n":2,"entries":[["1","1"],["0","1"]]},{"n":2,"entries":[["1","0"],["1","1"]]}]'
 )
 NOT_VU = (
-    "warning: generators are NOT virtually unipotent (refuted at word length <= 3);"
-    " the separation search may exhaust its schedule\n"
+    "warning: generators are NOT virtually unipotent; the separation search may"
+    " exhaust its schedule\n"
 )
 
 
@@ -191,16 +190,26 @@ def test_schedule_exhaustion_lines_are_pinned(capsys, args, line):
     assert (code, out, err) == (4, "", NOT_VU + line)
 
 
-def test_avoid_word_scan_is_budgeted(capsys):
-    # the words over U, L and their inverses double with each length: the
-    # advisory scan stops at its element budget instead of running away
-    gens = '[{"n":2,"entries":[["1","1"],["0","1"]]},{"n":2,"entries":[["1","0"],["1","1"]]}]'
-    start = time.perf_counter()
-    code, out, err = run_cli(["avoid", gens, NEG_I, "--word-length", "40"], capsys)
-    assert time.perf_counter() - start < 60
-    assert code == 4
-    assert out == ""
-    assert "element budget 100000 exceeded while running the virtual-unipotency word scan" in err
+UNITRIANGULAR4 = json.dumps([
+    {"n": 4, "entries": [[int(i == j or (i, j) == (a, b)) for j in range(4)] for i in range(4)]}
+    for a in range(4)
+    for b in range(a + 1, 4)
+])
+# two blocks of order 3: the image mod 2, a 2-group, misses their class
+ETA_ORDER_3 = '{"n":4,"entries":[[0,-1,0,0],[1,-1,0,0],[0,0,0,-1],[0,0,1,-1]]}'
+
+
+@pytest.mark.parametrize("cap, note", [
+    ("700", "note: virtual unipotency not decided: the mod-3 image exceeds --element-cap\n"),
+    ("729", "note: generators are virtually unipotent\n"),
+], ids=["not-decided", "decided"])
+def test_avoid_vu_note_is_advisory_under_the_element_cap(capsys, cap, note):
+    # the mod-3 image has 729 elements, below B(4): a smaller cap leaves the
+    # advisory decision open, and neither note changes the certificate or
+    # the exit code
+    code, out, err = run_cli(["avoid", UNITRIANGULAR4, ETA_ORDER_3, "--element-cap", cap], capsys)
+    assert (code, err) == (0, note)
+    assert json.loads(out)["m"] == 2
 
 
 def test_avoid_nonsemisimple_eta_exit_code(capsys):
@@ -209,10 +218,12 @@ def test_avoid_nonsemisimple_eta_exit_code(capsys):
 
 
 def test_avoid_bad_schedule_exit_code(capsys):
-    code, _, _ = run_cli(
-        ["avoid", U_GENS, NEG_I, "--modulus-schedule", "5,3"], capsys
-    )
-    assert code == 2
+    for schedule, message in [("5,3", "strictly increasing"), (",", "empty"), ("", "empty")]:
+        code, out, err = run_cli(
+            ["avoid", U_GENS, NEG_I, "--modulus-schedule", schedule], capsys
+        )
+        assert (code, out) == (2, "")
+        assert message in err
 
 
 MIXED_GENS = '[{"n":2,"entries":[[1,1],[0,1]]},{"n":3,"entries":[[1,0,0],[0,1,0],[0,0,1]]}]'
@@ -553,6 +564,8 @@ def test_unread_flags_exit_2():
         ("semifactors", [KLEIN], ["--element-cap=9", "--word-length=3", "--full", "-v"]),
         ("witness-prime", [NEG_I, U_GENS], ["--word-length=3", "--full", "-v"]),
         ("torsion-free", [U_GENS], ["--full"]),
+        ("avoid", [U_GENS, NEG_I], ["--word-length=3"]),
+        ("torsion-free", [U_GENS], ["--word-length=3"]),
     ]
     for flag in flags
 ])

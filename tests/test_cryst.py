@@ -9,7 +9,6 @@ from congrusep.cryst import (
     AffineElement,
     CrystGroup,
     affine_jordan,
-    embed_affine,
     lift_to_gl,
     semifactor_representatives,
     splitting,
@@ -279,13 +278,13 @@ def test_translation_conjugation_moves_factor_by_lattice_image():
 
 
 def test_embed_pure_translation():
-    imgs = embed_affine(torus_group())
+    imgs = lift_to_gl(torus_group()).generators
     assert imgs[0] == IntegerMatrix([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
     assert imgs[1] == IntegerMatrix([[1, 0, 0], [0, 1, 1], [0, 0, 1]])
 
 
 def test_embed_klein_bottle():
-    imgs = embed_affine(klein_bottle())
+    imgs = lift_to_gl(klein_bottle()).generators
     assert imgs[0] == IntegerMatrix([[1, 0, 1], [0, -1, 0], [0, 0, 1]])
     assert imgs[1] == IntegerMatrix([[1, 0, 0], [0, 1, 2], [0, 0, 1]])
 

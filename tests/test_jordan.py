@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from congrusep.errors import PreconditionError, SingularMatrixError
+from congrusep import modgrp
+from congrusep.errors import PreconditionError, ResourceError, SingularMatrixError
 from congrusep.exactlin import (
     IntegerMatrix,
     Polynomial,
@@ -13,8 +14,7 @@ from congrusep.exactlin import (
     char_poly,
 )
 from congrusep.jordan import (
-    bounded_words,
-    conjugate_decomposition,
+    _mod3_image_bound,
     euler_phi,
     is_semisimple,
     is_unipotent,
@@ -24,9 +24,12 @@ from congrusep.jordan import (
     torsion_order,
 )
 from helpers import (
+    bounded_words,
+    conjugate_decomposition,
     cyclotomic_factorization,
     cyclotomic_polynomial,
     cyclotomic_torsion_order,
+    elementary_generators,
     is_squarefree,
     klein_bottle_lift,
     min_poly,
@@ -361,9 +364,8 @@ def test_minkowski_order_and_scan_match_cyclotomic_oracle(n, bound):
     for g in box:
         assert torsion_order(g) == cyclotomic_torsion_order(g)
         roots_of_unity = cyclotomic_factorization(char_poly(g), n) is not None
-        # the words of length <= 1 over {g} are I, g and g^-1, which share
-        # the property with g
-        assert is_virtually_unipotent_witness([g], 1) is roots_of_unity
+        # <g> is virtually unipotent iff g has root-of-unity eigenvalues
+        assert is_virtually_unipotent_witness([g], CAP) is roots_of_unity
 
 
 def test_torsion_order_bounded_cost_large_n():
@@ -375,24 +377,46 @@ def test_torsion_order_bounded_cost_large_n():
 
 
 # ---------------------------------------------------------------------------
-# bounded virtual-unipotency scan
+# virtual unipotency, decided through the mod-3 congruence kernel
 # ---------------------------------------------------------------------------
+
+CAP = 10**7
+S = IntegerMatrix([[0, -1], [1, 0]])
+R = IntegerMatrix([[0, -1], [1, 1]])
+HEIS3 = [
+    IntegerMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+    IntegerMatrix([[1, 0, 0], [0, 1, 1], [0, 0, 1]]),
+]
+UNITRIANGULAR4 = [
+    IntegerMatrix([[int(i == j or (i, j) == (a, b)) for j in range(4)] for i in range(4)])
+    for a in range(4)
+    for b in range(a + 1, 4)
+]
+
+
+def scan_refutes(gens, wordlen):
+    """True iff some word of length <= wordlen has an eigenvalue that is no
+    root of unity (the bounded word scan, kept as the oracle)."""
+    n = gens[0].n
+    return any(
+        cyclotomic_factorization(char_poly(w), n) is None for w in bounded_words(gens, wordlen)
+    )
 
 
 def test_scan_unipotent_group():
-    assert is_virtually_unipotent_witness([U], 4)
+    assert is_virtually_unipotent_witness([U], CAP)
 
 
 def test_scan_finite_group():
-    assert is_virtually_unipotent_witness([NEG_I], 3)
+    assert is_virtually_unipotent_witness([NEG_I], CAP)
 
 
 def test_scan_rejects_infinite_order_semisimple():
-    assert not is_virtually_unipotent_witness([IntegerMatrix([[2, 1], [1, 1]])], 1)
+    assert not is_virtually_unipotent_witness([IntegerMatrix([[2, 1], [1, 1]])], CAP)
 
 
 def test_scan_empty_generators():
-    assert is_virtually_unipotent_witness([], 5)
+    assert is_virtually_unipotent_witness([], CAP)
 
 
 @pytest.mark.parametrize(
@@ -400,14 +424,7 @@ def test_scan_empty_generators():
     [
         ([U], 4, True),
         ([-U], 4, True),  # semisimple part -I
-        (
-            [
-                IntegerMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
-                IntegerMatrix([[1, 0, 0], [0, 1, 1], [0, 0, 1]]),
-            ],
-            3,
-            True,
-        ),
+        (HEIS3, 3, True),
         ([IntegerMatrix([[2, 1], [1, 1]])], 2, False),
         (klein_bottle_lift(), 3, True),
     ],
@@ -419,7 +436,132 @@ def test_scan_matches_semisimple_part_reference(gens, wordlen, expected):
         for w in bounded_words(gens, wordlen)
     )
     assert reference is expected
-    assert is_virtually_unipotent_witness(gens, wordlen) is reference
+    assert is_virtually_unipotent_witness(gens, CAP) is reference
+
+
+def _unitriangular(rng, n):
+    return IntegerMatrix(
+        [[int(i == j) if j <= i else rng.randint(-2, 2) for j in range(n)] for i in range(n)]
+    )
+
+
+def _signed_permutation(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return IntegerMatrix(
+        [[rng.choice((-1, 1)) if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+    )
+
+
+def _seeded_group(rng):
+    """1-3 generators in GL(n, Z), n = 2 or 3: unitriangular and signed
+    permutation matrices under one conjugation (virtually unipotent when
+    they are all of one kind, often not when mixed), or short random words
+    in the elementary matrices."""
+    n, r = rng.choice([2, 3]), rng.randint(1, 3)
+    if rng.random() < 0.6:
+        h = random_gl_element(rng, n, 3)
+        h_inv = h.unimodular_inverse()
+        kinds = [_unitriangular, _signed_permutation]
+        return [h_inv * rng.choice(kinds)(rng, n) * h for _ in range(r)]
+    return [random_gl_element(rng, n, rng.randint(1, 4)) for _ in range(r)]
+
+
+def test_decision_agrees_with_the_length_4_scan_on_seeded_groups():
+    rng = random.Random(0x3E)
+    outcomes = set()
+    for _ in range(300):
+        gens = _seeded_group(rng)
+        decided = is_virtually_unipotent_witness(gens, CAP)
+        assert decided is not scan_refutes(gens, 4), gens
+        outcomes.add(decided)
+    assert outcomes == {True, False}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_decision_against_the_word_scan_oracle(rng):
+    # a refutation at any length forces a refutation; a positive decision
+    # passes the scan at every length tried
+    gens = _seeded_group(rng)
+    decided = is_virtually_unipotent_witness(gens, CAP)
+    for wordlen in range(1, 5):
+        if scan_refutes(gens, wordlen):
+            assert not decided
+    if decided:
+        assert not scan_refutes(gens, 4)
+
+
+@pytest.mark.parametrize("gens", [
+    HEIS3 + [-IntegerMatrix.identity(3)],
+    klein_bottle_lift(),
+    [IntegerMatrix([[1, 0, 1], [0, -1, 0], [0, 0, 1]]), IntegerMatrix([[0, -1, 0], [1, 0, 0], [0, 0, 1]])],
+    UNITRIANGULAR4,
+], ids=["heisenberg,-I", "klein-bottle", "p4-holonomy", "unitriangular-4"])
+def test_virtually_unipotent_by_construction(gens):
+    assert is_virtually_unipotent_witness(gens, CAP)
+
+
+def test_sl2z_passes_the_length_3_scan_and_is_refuted():
+    assert not scan_refutes([S, R], 3)
+    assert scan_refutes([S, R], 4)
+    assert not is_virtually_unipotent_witness([S, R], CAP)
+
+
+def _closures(monkeypatch):
+    """Record (cap, size) of every closure the decision runs."""
+    calls = []
+    closure = modgrp._closure
+
+    def recorded(start, maps, cap, what, *args, **kwargs):
+        calls.append([cap, None])
+        seen, hit = closure(start, maps, cap, what, *args, **kwargs)
+        calls[-1][1] = len(seen)
+        return seen, hit
+
+    monkeypatch.setattr(modgrp, "_closure", recorded)
+    return calls
+
+
+def test_image_bound_refutes_before_any_lift(monkeypatch):
+    # three reflections generate GL(2, Z), and each pair multiplies to an
+    # element of order 4, of order 6 or to a unipotent one, so the first
+    # step passes; the mod-3 image is GL(2, F_3), 48 > B(2) = 36 elements
+    assert [_mod3_image_bound(n) for n in (1, 2, 3, 4)] == [2, 36, 1296, 839808]
+    gens = [IntegerMatrix(rows) for rows in ([[-1, 0], [0, 1]], [[0, 1], [1, 0]], [[-1, 1], [0, 1]])]
+    assert not scan_refutes(gens, 2)
+    calls = _closures(monkeypatch)
+    assert not is_virtually_unipotent_witness(gens, CAP)
+    assert [cap for cap, _ in calls] == [36]  # the packed closure only, never lifted
+    assert modgrp.congruence_image(gens, 3, CAP, n=2).size == 48
+
+
+@pytest.mark.parametrize("gens, cap", [
+    ([S, R], CAP), (HEIS3, CAP), (klein_bottle_lift(), CAP), (UNITRIANGULAR4, 10**6),
+])
+def test_decision_closes_at_most_the_bound_mod_3(monkeypatch, gens, cap):
+    calls = _closures(monkeypatch)
+    is_virtually_unipotent_witness(gens, cap)
+    limit = min(_mod3_image_bound(gens[0].n), cap)
+    assert calls and all(c <= limit and size <= limit for c, size in calls)
+
+
+def test_elementary_generators_n4_are_refuted_without_any_closure(monkeypatch):
+    calls = _closures(monkeypatch)
+    assert not is_virtually_unipotent_witness(elementary_generators(4), CAP)
+    assert calls == []
+
+
+def test_not_decided_when_the_cap_stops_the_mod_3_closure():
+    # 729 elements mod 3: above a cap of 700, below B(4)
+    with pytest.raises(ResourceError):
+        is_virtually_unipotent_witness(UNITRIANGULAR4, 700)
+    assert is_virtually_unipotent_witness(UNITRIANGULAR4, 729)
+
+
+def test_decision_requires_gl_n_z():
+    with pytest.raises(PreconditionError):
+        is_virtually_unipotent_witness([IntegerMatrix([[2, 0], [0, 1]])], CAP)
 
 
 def test_bounded_words_counts():

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -15,7 +16,6 @@ from congrusep.errors import (
     ResourceError,
 )
 from congrusep.exactlin import IntegerMatrix, RationalMatrix
-from congrusep.jordan import bounded_words
 from congrusep.modgrp import (
     DenominatorNotUnitError,
     _conjugation_by,
@@ -36,6 +36,7 @@ from congrusep.modgrp import (
     unit_group_generators,
 )
 from helpers import (
+    bounded_words,
     brute_force_closure,
     brute_force_gl,
     leibniz_det,
@@ -296,23 +297,37 @@ def test_group_and_class_json_shapes():
 @pytest.mark.parametrize("depth", range(5))
 @pytest.mark.parametrize("gens", [[U], [L], [U, L], HEIS], ids=["U", "L", "U,L", "heisenberg"])
 def test_closure_to_a_depth_is_the_word_set(gens, depth):
+    # the word oracle of the virtual-unipotency tests is every product of at
+    # most ``depth`` letters, and the mod-3 transversal over the forward
+    # generators reaches the residues of all of them, inverses included
     letters = [x for g in gens for x in (g, g.unimodular_inverse())]
     eye = IntegerMatrix.identity(gens[0].n)
-    words, stopped = modgrp._closure(
-        eye, [lambda w, a=a: w * a for a in letters], 10**6, "testing", depth=depth
+    words = bounded_words(gens, depth)
+    assert words == {
+        functools.reduce(lambda a, b: a * b, seq, eye)
+        for k in range(depth + 1)
+        for seq in itertools.product(letters, repeat=k)
+    }
+
+    def residues(w):
+        return tuple(x % 3 for row in w.entries for x in row)
+
+    lifts = modgrp._transversal(
+        eye, [lambda w, g=g: w * g for g in gens], residues, 10**6, "testing"
     )
-    assert not stopped
-    assert words == words_by_level(letters, depth, eye)
-    assert bounded_words(gens, depth) == words
+    assert {residues(w) for w in words} <= lifts.keys()
+    assert all(residues(w) == key for key, w in lifts.items())
 
 
 def test_closure_past_its_diameter_is_the_whole_closure():
     maps = [_right_multiplication(reduce(g, 3)) for g in (U, L)]
     start = reduce(IntegerMatrix.identity(2), 3).entries
-    whole, _ = modgrp._closure(start, maps, 10**6, "testing")
-    assert len(whole) == 24  # SL(2, Z/3)
-    assert modgrp._closure(start, maps, 10**6, "testing", depth=100) == (whole, False)
-    assert len(modgrp._closure(start, maps, 10**6, "testing", depth=1)[0]) == 3
+    whole, stopped = modgrp._closure(start, maps, 10**6, "testing")
+    assert not stopped and len(whole) == 24  # SL(2, Z/3)
+    letters = [reduce(U, 3), reduce(L, 3)]
+    eye = ModMatrix.identity(2, 3)
+    assert {w.entries for w in words_by_level(letters, 100, eye)} == whole
+    assert len(words_by_level(letters, 1, eye)) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,7 @@ def test_containment_of_group_words():
         n=cert.n,
         m=cert.m,
     )
-    from congrusep.jordan import bounded_words
+    from helpers import bounded_words
 
     for w in bounded_words(list(cert.gamma_gens), 6):
         assert modgrp.reduce(w, cert.m) in image
