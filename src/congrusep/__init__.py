@@ -25,7 +25,6 @@ from .exactlin import (
     RationalMatrix,
     SmithDecomposition,
     char_poly,
-    kernel_and_image,
     smith_normal_form,
 )
 from .jordan import (
@@ -66,7 +65,6 @@ from .cryst import (
     affine_jordan,
     lift_to_gl,
     semifactor_representatives,
-    splitting,
 )
 
 __version__ = "0.1.0"

@@ -8,13 +8,14 @@ exactly from Schreier generators (one witness element per holonomy matrix)
 and must coincide with the declared one; every quotient below depends on the
 lattice being the full translation subgroup.
 
-For a holonomy element S the ambient space splits as the image of (S - I)
-plus its kernel (the moving and fixed subspaces).  An element (t, S) factors
-as the commuting product of a semisimple part (t_s, S), t_s in the moving
-subspace, and a pure translation (t_u, I), t_u in the fixed subspace.  Up to
-conjugation by translations, the possible t_s for a fixed S form a finite
-quotient computed exactly through the Smith normal form; representatives are
-enumerated together with witnessing group elements.
+For a holonomy element S of order k the ambient space splits as the image of
+(S - I) plus its kernel (the moving and fixed subspaces), and the average of
+S^0, ..., S^(k-1) projects onto the second along the first.  An element
+(t, S) factors as the commuting product of a semisimple part (t_s, S), t_s
+in the moving subspace, and a pure translation (t_u, I), t_u in the fixed
+subspace.  Up to conjugation by translations, the possible t_s for a fixed S
+form a finite quotient computed exactly through the Smith normal form;
+representatives are enumerated together with witnessing group elements.
 
 Everything embeds into GL(m+1, Z) by the usual affine trick after a change
 to lattice coordinates and clearing one global denominator, which hands the
@@ -37,17 +38,16 @@ from .exactlin import (
     _parse_exact,
     _solve_exact,
     integer_kernel_basis,
-    kernel_and_image,
     lattice_basis,
     mat_vec,
     smith_normal_form,
     solve_integer_linear,
 )
-from .jordan import torsion_order
+from .jordan import _max_finite_subgroup, torsion_order
 from .modgrp import _closure, _transversal
 
-#: Closure budget for the holonomy group; far above any finite
-#: crystallographic holonomy in small dimension.
+#: Closure budget for the holonomy group: above F(m), the largest finite
+#: holonomy, for m <= 5.
 HOLONOMY_BUDGET = 10**4
 
 
@@ -104,15 +104,22 @@ class AffineElement:
     def from_json_dict(cls, data) -> "AffineElement":
         if not isinstance(data, dict) or "t" not in data or "S" not in data:
             raise InputError("affine element JSON needs 't' and 'S'")
-        t = [_parse_exact(x) for x in data["t"]]
-        s_rows = data["S"]
-        if not isinstance(s_rows, list):
-            raise InputError("'S' must be an integer matrix")
+        t, s_rows = data["t"], data["S"]
+        if not isinstance(t, list):
+            raise InputError("'t' must be an array")
+        if not _is_square_array(s_rows, len(t)):
+            raise InputError("'S' must be a square array of the length of 't'")
         try:
             s = IntegerMatrix(s_rows)
-        except (TypeError, InputError) as exc:
+        except InputError as exc:
             raise InputError(f"bad holonomy matrix: {exc}") from exc
-        return cls(t=tuple(t), S=s)
+        return cls(t=tuple(_parse_exact(x) for x in t), S=s)
+
+
+def _is_square_array(rows, n: int) -> bool:
+    """True iff rows is a JSON array of n arrays of length n each."""
+    return (isinstance(rows, list) and len(rows) == n
+            and all(isinstance(row, list) and len(row) == n for row in rows))
 
 
 class CrystGroup:
@@ -135,7 +142,7 @@ class CrystGroup:
         gens = tuple(generators)
         for g in gens:
             if g.dim != m:
-                raise DimensionMismatchError("generator dimension disagrees with m")
+                raise InputError("generator dimension disagrees with m")
         declared = tuple(tuple(Fraction(x) for x in row) for row in lattice)
         if len(declared) != m or any(len(row) != m for row in declared):
             raise InputError("lattice must be an m x m basis (rows are basis vectors)")
@@ -169,13 +176,20 @@ class CrystGroup:
     # -- construction helpers ---------------------------------------------
 
     def _close_holonomy(self) -> tuple[IntegerMatrix, ...]:
+        """The holonomy group, closed under min(F(m), ``HOLONOMY_BUDGET``):
+        more than F(m) elements prove it infinite (InputError), while a
+        budget below F(m) that stops the closure decides nothing
+        (ResourceError)."""
         maps = [lambda x, s=g.S: x * s for g in self.generators]
+        bound = _max_finite_subgroup(self.m)
         try:
             elements, _ = _closure(
-                IntegerMatrix.identity(self.m), maps, HOLONOMY_BUDGET,
+                IntegerMatrix.identity(self.m), maps, min(bound, HOLONOMY_BUDGET),
                 "closing the holonomy",
             )
         except ResourceError:
+            if HOLONOMY_BUDGET < bound:
+                raise
             raise InputError(
                 "holonomy closure exceeded budget: holonomy is"
                 " not finite, input is not crystallographic"
@@ -188,7 +202,7 @@ class CrystGroup:
         letters = dict.fromkeys(x for g in self.generators for x in (g, g.inverse()))
         return _transversal(
             AffineElement.identity(self.m), [lambda x, a=a: x.compose(a) for a in letters],
-            attrgetter("S"), HOLONOMY_BUDGET, "choosing holonomy witnesses",
+            attrgetter("S"), len(self.holonomy), "choosing holonomy witnesses",
         )
 
     def _schreier_translations(self) -> list[tuple[Fraction, ...]]:
@@ -246,54 +260,38 @@ class CrystGroup:
             gens = data["generators"]
         except KeyError as exc:
             raise InputError(f"crystallographic group JSON missing key {exc}") from exc
-        if not isinstance(m, int) or m < 1:
+        if type(m) is not int or m < 1:  # a JSON integer, never a bool
             raise InputError("m must be a positive integer")
-        if not isinstance(lattice, list) or not isinstance(gens, list):
-            raise InputError("'lattice' and 'generators' must be arrays")
+        if not isinstance(gens, list):
+            raise InputError("'generators' must be an array")
+        if not _is_square_array(lattice, m):
+            raise InputError("'lattice' must be an m x m array")
         parsed_lattice = [[_parse_exact(x) for x in row] for row in lattice]
         generators = [AffineElement.from_json_dict(g) for g in gens]
         return cls(m=m, generators=generators, lattice=parsed_lattice)
 
 
 # ---------------------------------------------------------------------------
-# splitting and affine Jordan decomposition
+# affine Jordan decomposition
 # ---------------------------------------------------------------------------
 
 
-def splitting(s: IntegerMatrix) -> tuple[list[tuple[Fraction, ...]], list[tuple[Fraction, ...]]]:
-    """Split Q^m into the moving and fixed subspaces of a finite-order s.
+def _fixed_projection(s: IntegerMatrix) -> RationalMatrix:
+    """P = (1/k) sum_(i<k) s^i for s of finite order k.
 
-    Returns (moving, fixed) = (image of s - I, kernel of s - I); for
-    finite-order s these are complementary.
+    P s = s P = P and P^2 = P, so P is the identity on the fixed subspace
+    ker(s - I) and 0 on the moving subspace im(s - I), which are
+    complementary for finite-order s: P projects onto the fixed subspace
+    along the moving one, and I - P onto the moving one along the fixed.
     """
-    if torsion_order(s) is None:
+    k = torsion_order(s)
+    if k is None:
         raise InputError("holonomy has infinite order")
-    m = s.n
-    diff = s.to_rational() - RationalMatrix.identity(m)
-    kernel, image = kernel_and_image(diff)
-    if len(kernel) + len(image) != m:
-        raise AssertionError("rank-nullity violated")
-    return image, kernel
-
-
-def _split_translation(
-    s: IntegerMatrix, t: Sequence[Fraction]
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Write t = t_s + t_u with t_s in the moving and t_u in the fixed
-    subspace of s."""
-    moving, fixed = splitting(s)
-    m = s.n
-    columns = [tuple(v) for v in moving + fixed]
-    coords = _solve_exact(list(columns), tuple(Fraction(x) for x in t))
-    if coords is None:
-        raise AssertionError("direct sum decomposition failed")
-    t_s = [Fraction(0)] * m
-    for c, vec in zip(coords[: len(moving)], moving):
-        for i in range(m):
-            t_s[i] += c * vec[i]
-    t_s_tuple = tuple(t_s)
-    t_u = tuple(Fraction(x) - y for x, y in zip(t, t_s_tuple))
-    return t_s_tuple, t_u
+    total = power = IntegerMatrix.identity(s.n)
+    for _ in range(k - 1):
+        power = power * s
+        total = total + power
+    return total.to_rational().scale(Fraction(1, k))
 
 
 def affine_jordan(e: AffineElement) -> tuple[AffineElement, AffineElement]:
@@ -304,10 +302,9 @@ def affine_jordan(e: AffineElement) -> tuple[AffineElement, AffineElement]:
     (by a rational translation) to the linear part S, the second is a pure
     translation.
     """
-    t_s, t_u = _split_translation(e.S, e.t)
-    semisimple = AffineElement(t=t_s, S=e.S)
-    unipotent = AffineElement.translation(t_u)
-    return semisimple, unipotent
+    t_u = mat_vec(_fixed_projection(e.S), e.t)
+    t_s = tuple(a - b for a, b in zip(e.t, t_u))
+    return AffineElement(t=t_s, S=e.S), AffineElement.translation(t_u)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +364,16 @@ class SemiFactorSet:
         }
 
 
+def _lattice_coordinates(
+    group: CrystGroup, e: AffineElement
+) -> tuple[IntegerMatrix, tuple[Fraction, ...]]:
+    """(S', t') = (W^-1 S W, W^-1 t) for W the lattice basis as columns; S'
+    is integral because the lattice is holonomy-invariant."""
+    w_inv = group._lattice_inverse
+    s_local = (w_inv * e.S.to_rational() * group._lattice_matrix).to_integer()
+    return s_local, mat_vec(w_inv, e.t)
+
+
 def semifactor_representatives(group: CrystGroup) -> SemiFactorSet:
     """Enumerate semisimple factors per holonomy matrix, with witnesses.
 
@@ -377,14 +384,12 @@ def semifactor_representatives(group: CrystGroup) -> SemiFactorSet:
     """
     m = group.m
     w = group._lattice_matrix
-    w_inv = group._lattice_inverse
     components = []
     for s_ambient in group.holonomy:
-        s_local = (w_inv * s_ambient.to_rational() * w).to_integer()
         witness = group.witness(s_ambient)
-        t_local = mat_vec(w_inv, witness.t)
-        moving, fixed = splitting(s_local)
-        d = len(moving)
+        s_local, t_local = _lattice_coordinates(group, witness)
+        fixed = _fixed_projection(s_local)
+        d = m - int(sum(fixed.entries[i][i] for i in range(m)))  # tr P = dim fixed
         if d == 0:
             zero = (Fraction(0),) * m
             components.append(
@@ -398,16 +403,11 @@ def semifactor_representatives(group: CrystGroup) -> SemiFactorSet:
 
         diff = s_local.to_rational() - RationalMatrix.identity(m)
         # projection onto the moving subspace along the fixed one
-        basis_cols = [list(v) for v in moving] + [list(v) for v in fixed]
-        basis_mat = RationalMatrix([list(col) for col in zip(*basis_cols)])
-        basis_inv = basis_mat.inverse()
-        proj = RationalMatrix([row[:d] for row in basis_mat.entries]) * RationalMatrix(
-            basis_inv.entries[:d]
-        )
+        proj = RationalMatrix.identity(m) - fixed
 
         # lattice of the moving subspace: SNF-reported quotient uses the
         # saturated sublattice L ∩ moving; the torsor uses proj(L)
-        sat_basis = integer_kernel_basis(RationalMatrix.identity(m) - proj)
+        sat_basis = integer_kernel_basis(fixed)
         sat_mat_cols = [list(v) for v in sat_basis]
         m_sat = _matrix_in_basis(diff, sat_mat_cols)
         invariant_factors = smith_normal_form(m_sat).invariant_factors
@@ -507,34 +507,19 @@ class GLEmbedding:
     embed: Callable[[AffineElement], IntegerMatrix]
 
 
-def _embedding_for(group: CrystGroup, elements: Sequence[AffineElement]):
-    w_inv = group._lattice_inverse
-    locals_ = [
-        ((w_inv * e.S.to_rational() * group._lattice_matrix), mat_vec(w_inv, e.t))
-        for e in elements
-    ]
-    for s_local, _ in locals_:
-        if not s_local.is_integral:
-            raise AssertionError("holonomy not integral in lattice coordinates")
-    denom = 1
-    for _, t_local in locals_:
-        denom = math.lcm(denom, *(x.denominator for x in t_local))
-    return denom
-
-
-def _embed_element(group: CrystGroup, e: AffineElement, denom: int) -> IntegerMatrix:
-    w_inv = group._lattice_inverse
-    s_local = (w_inv * e.S.to_rational() * group._lattice_matrix).to_integer()
-    t_local = mat_vec(w_inv, e.t)
-    m = group.m
+def _affine_block(
+    s_local: IntegerMatrix, t_local: Sequence[Fraction], denom: int
+) -> IntegerMatrix:
+    """The block matrix [[S', D t'], [0, 1]] for the denominator D."""
+    m = s_local.n
     rows = []
-    for i in range(m):
-        scaled = Fraction(denom) * t_local[i]
+    for row, x in zip(s_local.entries, t_local):
+        scaled = denom * x
         if scaled.denominator != 1:
             raise InputError(
                 "element translation does not clear the embedding denominator"
             )
-        rows.append(list(s_local.entries[i]) + [int(scaled)])
+        rows.append(list(row) + [int(scaled)])
     rows.append([0] * m + [1])
     return IntegerMatrix(rows)
 
@@ -552,20 +537,25 @@ def lift_to_gl(group: CrystGroup) -> GLEmbedding:
         for comp in factors.components
         for t_s, _ in comp.representatives
     ]
-    denom = _embedding_for(group, list(group.generators) + factor_elements)
-    gen_images = tuple(_embed_element(group, g, denom) for g in group.generators)
-    factor_images = tuple(_embed_element(group, e, denom) for e in factor_elements)
+    local = [_lattice_coordinates(group, e) for e in group.generators + tuple(factor_elements)]
+    denom = math.lcm(*(x.denominator for _, t in local for x in t))
+    images = tuple(_affine_block(s, t, denom) for s, t in local)
+    gen_images = images[: len(group.generators)]
+
+    def embed(e: AffineElement) -> IntegerMatrix:
+        return _affine_block(*_lattice_coordinates(group, e), denom)
+
     for g1, img1 in zip(group.generators, gen_images):
         for g2, img2 in zip(group.generators, gen_images):
-            if img1 * img2 != _embed_element(group, g1.compose(g2), denom):
+            if img1 * img2 != embed(g1.compose(g2)):
                 raise AssertionError("affine embedding is not a homomorphism")
-    for img in gen_images + factor_images:
+    for img in images:
         if img.det() not in (1, -1):
             raise AssertionError("embedded element is not unimodular")
     return GLEmbedding(
         n=group.m + 1,
         denominator=denom,
         generators=gen_images,
-        semifactors=factor_images,
-        embed=lambda e: _embed_element(group, e, denom),
+        semifactors=images[len(group.generators):],
+        embed=embed,
     )

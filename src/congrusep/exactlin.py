@@ -784,7 +784,7 @@ def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# kernels, images, lattices
+# integer kernels, integer solutions, lattices
 # ---------------------------------------------------------------------------
 
 
@@ -824,29 +824,6 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if r == nrows:
             break
     return rows, pivots
-
-
-def kernel_and_image(a: RationalMatrix) -> tuple[list[tuple[Fraction, ...]], list[tuple[Fraction, ...]]]:
-    """Exact bases of ker(a) and im(a) for a square rational matrix.
-
-    The image basis consists of the original pivot columns; the kernel basis
-    comes from the reduced row echelon form with each free variable set to 1.
-    dim ker + dim im = n.
-    """
-    n = a.n
-    rref_rows, pivots = _rref([list(row) for row in a.entries])
-    pivot_set = set(pivots)
-    image = [tuple(a.entries[i][c] for i in range(n)) for c in pivots]
-    kernel = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
-        for row_idx, c in enumerate(pivots):
-            vec[c] = -rref_rows[row_idx][free]
-        kernel.append(tuple(vec))
-    return kernel, image
 
 
 def integer_kernel_basis(a: RationalMatrix) -> list[tuple[int, ...]]:

@@ -212,10 +212,14 @@ def torsion_order(g: IntegerMatrix) -> int | None:
 _MAX_FINITE_SUBGROUP = (2, 12, 48, 1152, 3840, 103680, 2903040, 696729600, 1393459200, 8360755200)
 
 
+def _max_finite_subgroup(n: int) -> int:
+    """F(n): no finite subgroup of GL(n,Q), so none of GL(n,Z), is larger."""
+    return _MAX_FINITE_SUBGROUP[n - 1] if n <= 10 else 2**n * factorial(n)
+
+
 def _mod3_image_bound(n: int) -> int:
     """B(n) = F(n) 3^(n(n-1)/2): a larger mod-3 image refutes virtual unipotency."""
-    f = _MAX_FINITE_SUBGROUP[n - 1] if n <= 10 else 2**n * factorial(n)
-    return f * 3 ** (n * (n - 1) // 2)
+    return _max_finite_subgroup(n) * 3 ** (n * (n - 1) // 2)
 
 
 def _times_columns(a: tuple, cols: tuple) -> tuple:

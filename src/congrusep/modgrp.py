@@ -325,12 +325,11 @@ class ModMatrixGroup:
     ``isdisjoint``, which keep the format inside this module.
     """
 
-    __slots__ = ("n", "m", "generators", "elements", "_digest")
+    __slots__ = ("n", "m", "elements", "_digest")
 
-    def __init__(self, n: int, m: int, generators: tuple[ModMatrix, ...], elements: set[int]):
+    def __init__(self, n: int, m: int, elements: set[int]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "_digest", None)
 
@@ -366,18 +365,6 @@ class ModMatrixGroup:
             d = elements_digest(self.n, self.m, self.entry_tuples())
             object.__setattr__(self, "_digest", d)
         return d
-
-    def to_json_dict(self, full: bool = False) -> dict:
-        data = {
-            "n": self.n,
-            "m": self.m,
-            "generators": [g.to_lists() for g in self.generators],
-            "size": self.size,
-            "elements_digest": self.digest(),
-        }
-        if full:
-            data["elements"] = self._sorted_rows()
-        return data
 
     def _sorted_rows(self) -> list[list[list[int]]]:
         """The elements as row lists, in sorted order, without a digest."""
@@ -453,7 +440,7 @@ def generate(
     elements, _ = _closure(
         identity, multipliers, cap, "generating subgroup", key=partial(_pack, m=m)
     )
-    return ModMatrixGroup(n, m, gens, elements)
+    return ModMatrixGroup(n, m, elements)
 
 
 # ---------------------------------------------------------------------------
@@ -571,18 +558,6 @@ class ConjClass:
             d = elements_digest(self.n, self.m, self.orbit)
             object.__setattr__(self, "_digest", d)
         return d
-
-    def to_json_dict(self, full: bool = False) -> dict:
-        data = {
-            "n": self.n,
-            "m": self.m,
-            "representative": self.representative.to_lists(),
-            "size": self.size,
-            "elements_digest": self.digest(),
-        }
-        if full:
-            data["elements"] = self._sorted_rows()
-        return data
 
     def _sorted_rows(self) -> list[list[list[int]]]:
         """The orbit as row lists, in sorted order, without a digest."""

@@ -20,6 +20,7 @@ from congrusep.exactlin import (
     IntegerMatrix,
     Polynomial,
     RationalMatrix,
+    _rref,
     _solve_exact,
     char_poly,
     det_int,
@@ -219,6 +220,51 @@ def min_poly(a: RationalMatrix | IntegerMatrix) -> Polynomial:
             return Polynomial([-c for c in sol] + [Fraction(1)])
         flat.append(target)
     raise AssertionError("unreachable: degree-n dependence is guaranteed")
+
+
+# ---------------------------------------------------------------------------
+# moving/fixed splitting oracle: bases of the image and the kernel of S - I
+# from one Gauss-Jordan elimination, independent of the library's average of
+# the powers of S
+# ---------------------------------------------------------------------------
+
+
+def kernel_and_image(a: RationalMatrix) -> tuple[list[tuple[Fraction, ...]], list[tuple[Fraction, ...]]]:
+    """Exact bases of ker(a) and im(a) for a square rational matrix.
+
+    The image basis consists of the original pivot columns; the kernel basis
+    comes from the reduced row echelon form with each free variable set to 1.
+    """
+    n = a.n
+    rref_rows, pivots = _rref([list(row) for row in a.entries])
+    image = [tuple(a.entries[i][c] for i in range(n)) for c in pivots]
+    kernel = []
+    for free in sorted(set(range(n)) - set(pivots)):
+        vec = [Fraction(0)] * n
+        vec[free] = Fraction(1)
+        for row_idx, c in enumerate(pivots):
+            vec[c] = -rref_rows[row_idx][free]
+        kernel.append(tuple(vec))
+    return kernel, image
+
+
+def splitting(s: IntegerMatrix) -> tuple[list[tuple[Fraction, ...]], list[tuple[Fraction, ...]]]:
+    """(moving, fixed) = bases of (image, kernel) of s - I for a finite-order
+    s, where they are complementary."""
+    if torsion_order(s) is None:
+        raise InputError("holonomy has infinite order")
+    kernel, image = kernel_and_image(s.to_rational() - RationalMatrix.identity(s.n))
+    assert len(kernel) + len(image) == s.n
+    return image, kernel
+
+
+def moving_projection(s: IntegerMatrix) -> RationalMatrix:
+    """The projection onto the moving subspace of s along the fixed one, from
+    the bases of ``splitting`` and one basis inverse."""
+    moving, fixed = splitting(s)
+    basis = RationalMatrix(list(zip(*(moving + fixed))))
+    keep = RationalMatrix([[int(i == j < len(moving)) for j in range(s.n)] for i in range(s.n)])
+    return basis * keep * basis.inverse()
 
 
 def is_squarefree(f: Polynomial) -> bool:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from congrusep import modgrp
+from congrusep import cryst, modgrp
 from congrusep.cli import build_parser, main
 
 U_GENS = '[{"n":2,"entries":[["1","1"],["0","1"]]}]'
@@ -448,6 +448,47 @@ def test_semifactors_exact_lattice_of_cubic_group(capsys):
     code, out, err = run_cli(["semifactors", _cryst_group(CUBIC_GENERATORS, unit)], capsys)
     assert code == 2 and out == ""
     assert "group contains translations outside the declared lattice" in err
+
+
+P6M = _cryst_group([(("0", "0"), [[0, -1], [1, 1]]), (("0", "0"), [[0, 1], [1, 0]]),
+                    (("1", "0"), ID2)])
+
+
+def test_semifactors_holonomy_over_budget_exits_4(capsys, monkeypatch):
+    # the holonomy D6 has 12 = F(2) elements: a budget of 10 decides nothing
+    monkeypatch.setattr(cryst, "HOLONOMY_BUDGET", 10)
+    code, out, err = run_cli(["semifactors", P6M], capsys)
+    assert (code, out) == (4, "")
+    assert err == "error: element budget 10 exceeded while closing the holonomy\n"
+
+
+def _klein_with(**fields):
+    data = json.loads(KLEIN)
+    data.update(fields)
+    return json.dumps(data)
+
+
+def _klein_translation(**fields):
+    translation = {"t": ["0", "1"], "S": ID2, **fields}
+    return _klein_with(generators=[{"t": ["1/2", "0"], "S": [[1, 0], [0, -1]]}, translation])
+
+
+@pytest.mark.parametrize("group", [
+    _klein_with(m=True),
+    _klein_translation(t="01"),
+    _klein_with(lattice=["10", "01"]),
+    _klein_translation(t={"0": 0, "1": 0}),
+    _klein_translation(t=5),
+    _klein_with(lattice=[5, 6]),
+    _klein_translation(t=["1/2", "0", "0"]),
+    _klein_translation(S=[[1, 0]]),
+    _klein_with(generators=[{"t": ["0", "0", "1"], "S": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]),
+], ids=["m-bool", "t-string", "lattice-strings", "t-object", "t-int", "lattice-ints",
+        "t-too-long", "S-not-square", "generator-dimension"])
+def test_semifactors_malformed_group_exits_2(group, capsys):
+    code, out, err = run_cli(["semifactors", group], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -2,20 +2,28 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from congrusep.errors import InputError
+from congrusep.errors import InputError, ResourceError
 from congrusep.exactlin import IntegerMatrix, RationalMatrix, mat_vec
 from congrusep.cryst import (
     AffineElement,
     CrystGroup,
+    _fixed_projection,
     affine_jordan,
     lift_to_gl,
     semifactor_representatives,
-    splitting,
 )
 from congrusep.jordan import jordan_decompose
-from congrusep import separate
-from helpers import random_gl_element
+from congrusep import cryst, exactlin, separate
+from helpers import (
+    kernel_and_image,
+    moving_projection,
+    random_gl_element,
+    signed_permutation_matrices,
+    splitting,
+)
 
 F = Fraction
 REFL = IntegerMatrix([[1, 0], [0, -1]])
@@ -86,6 +94,51 @@ def test_klein_bottle_holonomy():
 
 def test_p4_holonomy():
     assert len(p4_group().holonomy) == 4
+
+
+def p6m_group():
+    # holonomy D6 (12 elements), in the basis a1, a2 of the hexagonal lattice
+    return CrystGroup(
+        m=2,
+        generators=[
+            AffineElement(t=(0, 0), S=IntegerMatrix([[0, -1], [1, 1]])),
+            AffineElement(t=(0, 0), S=IntegerMatrix([[0, 1], [1, 0]])),
+            AffineElement(t=(1, 0), S=IntegerMatrix.identity(2)),
+        ],
+        lattice=[[1, 0], [0, 1]],
+    )
+
+
+def test_holonomy_of_f_m_elements_closes():
+    # F(2) = 12: the closure cap admits a holonomy of exactly F(m) elements
+    assert len(p6m_group().holonomy) == 12
+
+
+def test_infinite_holonomy_closure_is_capped_at_f_m(monkeypatch):
+    caps = []
+
+    def spy(start, maps, cap, what, **kwargs):
+        caps.append(cap)
+        return real_closure(start, maps, cap, what, **kwargs)
+
+    real_closure = cryst._closure
+    monkeypatch.setattr(cryst, "_closure", spy)
+    with pytest.raises(InputError, match="holonomy is not finite"):
+        CrystGroup(
+            m=2,
+            generators=[
+                AffineElement(t=(0, 0), S=IntegerMatrix([[-1, 1], [0, 1]])),
+                AffineElement(t=(0, 0), S=IntegerMatrix([[-1, 0], [0, 1]])),
+            ],
+            lattice=[[1, 0], [0, 1]],
+        )
+    assert caps == [12]
+
+
+def test_holonomy_budget_below_f_m_is_undecided(monkeypatch):
+    monkeypatch.setattr(cryst, "HOLONOMY_BUDGET", 10)
+    with pytest.raises(ResourceError, match="element budget 10 exceeded"):
+        p6m_group()
 
 
 def test_infinite_holonomy_rejected():
@@ -219,6 +272,71 @@ def test_splitting_rotation_is_fixed_point_free():
 def test_splitting_rejects_infinite_order():
     with pytest.raises(InputError):
         splitting(IntegerMatrix([[1, 1], [0, 1]]))
+
+
+# ---------------------------------------------------------------------------
+# the averaging projector against the Gauss-Jordan splitting
+# ---------------------------------------------------------------------------
+
+
+def _check_fixed_projection(s: IntegerMatrix) -> None:
+    p = _fixed_projection(s)
+    eye = RationalMatrix.identity(s.n)
+    assert eye - p == moving_projection(s)
+    assert p * p == p
+    assert s.to_rational() * p == p == p * s.to_rational()
+    kernel, _ = kernel_and_image(s.to_rational() - eye)
+    assert sum(p.entries[i][i] for i in range(s.n)) == len(kernel)
+
+
+@st.composite
+def finite_order_matrices(draw):
+    """A signed permutation matrix conjugated by a unimodular matrix."""
+    n = draw(st.integers(1, 4))
+    s = draw(st.sampled_from(signed_permutation_matrices(n)))
+    g = random_gl_element(draw(st.randoms(use_true_random=False)), n,
+                          word_len=draw(st.integers(0, 6)))
+    return g.unimodular_inverse() * s * g
+
+
+@settings(max_examples=150, deadline=None)
+@given(finite_order_matrices())
+def test_fixed_projection_matches_splitting_oracle(s):
+    _check_fixed_projection(s)
+
+
+@pytest.mark.parametrize("make", [klein_bottle, p4_group, torus_group, cubic_group, p6m_group])
+def test_fixed_projection_on_pinned_holonomies(make):
+    for s in make().holonomy:
+        _check_fixed_projection(s)
+
+
+def test_fixed_projection_rejects_infinite_order():
+    with pytest.raises(InputError, match="infinite order"):
+        _fixed_projection(IntegerMatrix([[1, 1], [0, 1]]))
+
+
+def test_affine_jordan_matches_splitting_oracle():
+    rng = random.Random(0xAFF1)
+    holonomies = [s for make in (p4_group, cubic_group, p6m_group) for s in make().holonomy]
+    for _ in range(60):
+        s = rng.choice(holonomies)
+        t = tuple(F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(s.n))
+        semisimple, unipotent = affine_jordan(AffineElement(t=t, S=s))
+        t_s = mat_vec(moving_projection(s), t)
+        assert semisimple == AffineElement(t=t_s, S=s)
+        assert unipotent == AffineElement.translation(tuple(a - b for a, b in zip(t, t_s)))
+
+
+def test_affine_jordan_runs_no_gauss_jordan(monkeypatch):
+    def no_gauss_jordan(*args):
+        raise AssertionError("affine_jordan reached Gauss-Jordan over Q")
+
+    elements = [AffineElement(t=(F(1, 3), F(-2), F(5, 4)), S=s) for s in cubic_group().holonomy]
+    monkeypatch.setattr(exactlin, "_rref", no_gauss_jordan)
+    for e in elements:
+        semisimple, unipotent = affine_jordan(e)
+        assert semisimple.compose(unipotent) == e
 
 
 # ---------------------------------------------------------------------------

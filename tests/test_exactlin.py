@@ -23,7 +23,6 @@ from congrusep.exactlin import (
     char_poly,
     det_int,
     factorize,
-    kernel_and_image,
     lattice_basis,
     mat_vec,
     poly_gcd,
@@ -32,7 +31,7 @@ from congrusep.exactlin import (
     solve_integer_linear,
     squarefree_part,
 )
-from helpers import is_squarefree, leibniz_det, min_poly, random_gl_element
+from helpers import is_squarefree, kernel_and_image, leibniz_det, min_poly, random_gl_element
 
 I2 = RationalMatrix.identity(2)
 U = RationalMatrix([[1, 1], [0, 1]])
