@@ -117,7 +117,7 @@ class AffineElement:
 
 
 def _is_square_array(rows, n: int) -> bool:
-    """True iff rows is a JSON array of n arrays of length n each."""
+    """True iff rows is a list (a JSON array) of n lists of length n each."""
     return (isinstance(rows, list) and len(rows) == n
             and all(isinstance(row, list) and len(row) == n for row in rows))
 
@@ -143,9 +143,9 @@ class CrystGroup:
         for g in gens:
             if g.dim != m:
                 raise InputError("generator dimension disagrees with m")
-        declared = tuple(tuple(Fraction(x) for x in row) for row in lattice)
-        if len(declared) != m or any(len(row) != m for row in declared):
-            raise InputError("lattice must be an m x m basis (rows are basis vectors)")
+        if not _is_square_array(lattice, m):
+            raise InputError("lattice must be a list of m rows, each a list of m entries")
+        declared = tuple(tuple(_parse_exact(x) for x in row) for row in lattice)
         basis_matrix = RationalMatrix([list(row) for row in zip(*declared)])
         if basis_matrix.det() == 0:
             raise InputError("declared lattice basis is singular")
@@ -264,11 +264,7 @@ class CrystGroup:
             raise InputError("m must be a positive integer")
         if not isinstance(gens, list):
             raise InputError("'generators' must be an array")
-        if not _is_square_array(lattice, m):
-            raise InputError("'lattice' must be an m x m array")
-        parsed_lattice = [[_parse_exact(x) for x in row] for row in lattice]
-        generators = [AffineElement.from_json_dict(g) for g in gens]
-        return cls(m=m, generators=generators, lattice=parsed_lattice)
+        return cls(m=m, generators=[AffineElement.from_json_dict(g) for g in gens], lattice=lattice)
 
 
 # ---------------------------------------------------------------------------

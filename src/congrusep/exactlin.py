@@ -38,10 +38,10 @@ _BIT_BOUND = 10**6
 
 
 def _parse_exact(value) -> Fraction:
-    """Parse an exact scalar from JSON: int or 'p' / 'p/q' string."""
+    """Parse an exact scalar: an int, a Fraction or a 'p' / 'p/q' string."""
     if isinstance(value, bool):
         raise InputError(f"matrix entries must be exact numbers, got {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
         try:

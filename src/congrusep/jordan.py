@@ -27,15 +27,13 @@ from .exactlin import (
     IntegerMatrix,
     Polynomial,
     RationalMatrix,
-    _adjugate_inverse,
     _power,
     char_poly,
-    det_int,
     factorize,
     poly_xgcd,
     squarefree_part,
 )
-from .modgrp import _product, _transversal, congruence_image
+from .modgrp import _product, _schreier_generators, _transversal, congruence_image
 
 _MAX_NEWTON_STEPS = 64  # ceil(log2 n) + slack; evaluated exactly, never hit
 
@@ -270,14 +268,15 @@ def is_virtually_unipotent_witness(gens: list[IntegerMatrix], cap: int) -> bool:
        unipotent.  N mod 3 is a 3-group, of order at most 3^(n(n-1)/2), and
        |G mod 3| <= [G : N] |N mod 3| <= B(n).
     3. K is generated by the Schreier generators s = w_x g w_(xg)^-1 over
-       the lifts w_x of the image (``modgrp._transversal``), and it is
-       unipotent iff W_0 = Q^n, W_(k+1) = sum_s (s - I) W_k reaches 0:
+       the lifts w_x of the image (``modgrp._schreier_generators``), and it
+       is unipotent iff W_0 = Q^n, W_(k+1) = sum_s (s - I) W_k reaches 0:
        Kolchin's flag contains the W_k, and conversely each s acts trivially
        on every W_k / W_(k+1), so s^-1 and every product do too.  The chain
        decreases, so it reaches 0 within n steps if at all, and it depends
-       only on the span of the s - I, of dimension at most n^2.  Only the s
-       that enlarge the span are kept; one whose characteristic polynomial
-       is not (x - 1)^n refutes at once.
+       only on the span of the s - I.  Only the s that enlarge the span are
+       kept; one whose characteristic polynomial is not (x - 1)^n refutes
+       at once, and so does a span of dimension over n(n-1)/2, as a
+       unipotent K is strictly upper triangular in Kolchin's flag.
     """
     if not gens:
         return True
@@ -307,19 +306,16 @@ def is_virtually_unipotent_witness(gens: list[IntegerMatrix], cap: int) -> bool:
     times = [partial(_times_columns, cols=tuple(zip(*g.entries))) for g in dict.fromkeys(gens)]
     lifts = _transversal(IntegerMatrix.identity(n).entries, times, residues, image.size,
                          "lifting the mod-3 image")
-    inverse_columns = {k: tuple(zip(*_adjugate_inverse(w, det_int(w)))) for k, w in lifts.items()}
     span, kept = [], []  # an echelon basis of the s - I, and those that enlarged it
-    for w in lifts.values():
-        for g in times:
-            wg = g(w)
-            key = residues(wg)
-            if wg != lifts[key]:
-                s = _times_columns(wg, inverse_columns[key])
-                x = [[a - (i == j) for j, a in enumerate(row)] for i, row in enumerate(s)]
-                if _echelon_insert(span, [a for row in x for a in row]):
-                    if char_poly(IntegerMatrix(s)).coeffs != target:
-                        return False
-                    kept.append(x)
+    for s in _schreier_generators(
+        lifts, times, residues, _times_columns,
+        lambda w: tuple(zip(*IntegerMatrix(w).unimodular_inverse().entries)),  # w^-1 by columns
+    ):
+        x = [[a - (i == j) for j, a in enumerate(row)] for i, row in enumerate(s)]
+        if _echelon_insert(span, [a for row in x for a in row]):
+            if len(span) > n * (n - 1) // 2 or char_poly(IntegerMatrix(s)).coeffs != target:
+                return False
+            kept.append(x)
     flag = [[int(i == j) for j in range(n)] for i in range(n)]  # W_0
     for _ in range(n):
         image_of_flag: list[tuple[int, list[int]]] = []

@@ -136,6 +136,20 @@ def _transversal(start, maps, key_of: Callable, cap: int, what: str) -> dict:
     return {x.key: x.value for x in tree}
 
 
+def _schreier_generators(lifts: dict, maps, key_of, times, inverse) -> Iterator:
+    """Each Schreier generator s = w_x g w_(xg)^(-1) != I of the kernel of
+    ``key_of``, as times(w_x g, inverse(w_(xg))), for the lifts w of
+    ``_transversal`` and the maps x -> x g.  A lift is inverted once, when
+    an s first needs it: <U> mod p inverts one lift, not p."""
+    inverses: dict = {}
+    for wg in (f(w) for w in lifts.values() for f in maps):
+        key = key_of(wg)
+        if wg != lifts[key]:
+            if key not in inverses:
+                inverses[key] = inverse(lifts[key])
+            yield times(wg, inverses[key])
+
+
 def _product(a: tuple[int, ...], b: tuple[int, ...], n: int, m: int) -> tuple[int, ...]:
     """The entry tuple of a * b mod m; zero entries of a are skipped."""
     out = [0] * (n * n)
@@ -163,11 +177,16 @@ def _pack(entries: Iterable[int], m: int) -> int:
     return x
 
 
-def _unpack(x: int, n: int, m: int) -> tuple[int, ...]:
-    """The entry tuple that ``_pack`` made x from."""
-    out = [0] * (n * n)
-    for k in range(n * n - 1, -1, -1):
-        x, out[k] = divmod(x, m)
+def _unpack(x: int, n: int, m: int, k: int = 0) -> tuple[int, ...]:
+    """The entry tuple that ``_pack`` made x from, its k = n^2 base-m digits;
+    above 16 digits x is halved first, as each divmod by m costs its size."""
+    k = k or n * n
+    if k > 16:
+        high, low = divmod(x, m ** (k // 2))
+        return _unpack(high, n, m, k - k // 2) + _unpack(low, n, m, k // 2)
+    out = [0] * k
+    for i in range(k - 1, -1, -1):
+        x, out[i] = divmod(x, m)
     return tuple(out)
 
 
@@ -259,8 +278,10 @@ class ModMatrix:
 
     def inverse(self) -> "ModMatrix":
         """Inverse mod m: ``_adjugate_inverse`` of the residue matrix with
-        det^(-1) taken mod m, reduced mod m."""
+        det^(-1) taken mod m, reduced mod m.  The identity is its own."""
         n, m = self.n, self.m
+        if self == ModMatrix.identity(n, m):
+            return self
         inv = _adjugate_inverse(self.to_lists(), pow(self.det(), -1, m))
         return ModMatrix._raw(n, m, tuple(x % m for row in inv for x in row))
 
@@ -697,24 +718,49 @@ def padic_level_image(
     return congruence_image(gens, p**level, cap, n=n)
 
 
-def _sift(h: ModMatrix, layers: list[list[tuple]], p: int) -> tuple[int, ModMatrix, list[int]]:
-    """Divide h, congruent to I mod p, by basis elements layer by layer.
+def _saturated(layers: list[list[tuple]], n: int, p: int) -> bool:
+    """True when p is odd and layers 1 ... N-1 have dimension n^2 - 1, so
+    every element of P sifts: for p odd it has determinant 1, and
+    det(I + p^i X) = 1 + p^i tr X mod p^(i+1), so P's layers lie in sl_n."""
+    return p % 2 == 1 and all(len(layer) == n * n - 1 for layer in layers[1:])
+
+
+def _kernel_power(h: tuple[int, ...], e: int, n: int, q: int, terms: int) -> tuple[int, ...]:
+    """h^e mod q for any integer e and h = I + Y with Y^terms = 0 mod q, as
+    for h = I mod p^i, q = p^N and terms = ceil(N / i): the binomial series
+    sum_(k < terms) C(e, k) Y^k, which at e = -1 is the Neumann series."""
+    one = [int(k % (n + 1) == 0) for k in range(n * n)]
+    y = power = tuple((a - d) % q for a, d in zip(h, one))
+    out, c = one, 1
+    for k in range(1, terms):
+        c = c * (e - k + 1) // k  # C(e, k), an exact division; 0 once k > e >= 0
+        if not c:
+            break
+        power = y if k == 1 else _product(power, y, n, q)
+        out = [(a + c * b) % q for a, b in zip(out, power)]
+    return tuple(out)
+
+
+def _sift(h: tuple, layers: list[list[tuple]], p: int, n: int) -> tuple[int, tuple, list[int]]:
+    """Divide the entries h = I mod p by basis elements, mod q = p^N, N = len(layers).
 
     At layer i, h = I + p^i X mod p^(i+1), and X mod p is reduced against
-    the echelon basis of L_i; multiplying by b^e adds e times b's vector,
-    the layer being abelian.  Returns (i, h, X) at the first layer whose
-    residual X is nonzero, or (len(layers), h, []) with h = I mod p^N.
+    the echelon basis of L_i; multiplying by b^e (kept with b once taken)
+    adds e times b's vector, the layer being abelian.  Returns (i, h, X) at
+    the first layer whose residual X is nonzero, or (N, h, []), h = I mod q.
     """
-    n, q = h.n, h.m
+    q = p ** len(layers)
     for i in range(1, len(layers)):
         pi = p**i
-        v = [(e - (k % (n + 1) == 0)) % q // pi % p for k, e in enumerate(h.entries)]
+        v = [(e - (k % (n + 1) == 0)) % q // pi % p for k, e in enumerate(h)]
         for pivot, vec, powers, _ in layers[i]:
             c = v[pivot]
             if c:
                 # b's vector is 1 at its pivot, so b^(p - c) clears it
                 v = [(a - c * x) % p for a, x in zip(v, vec)]
-                h = h * powers[p - c]
+                if p - c not in powers:
+                    powers[p - c] = _kernel_power(powers[1], p - c, n, q, -(-len(layers) // i))
+                h = _product(h, powers[p - c], n, q)
         if any(v):
             return i, h, v
     return len(layers), h, []
@@ -730,27 +776,29 @@ def _kernel_basis(
     I + p^i X -> X mod p, so |G_K| = |G_1| p^(dim L_1 + ... + dim L_(K-1)).
     The lifts are the first elements a closure of G_1 reaches per residue
     mod p, a transversal of P, so P is generated by the Schreier generators
-    w_x g w_(xg)^(-1).  Each is sifted; a nonzero residual becomes a basis
-    element of its layer, scaled to 1 at its pivot and kept with its powers
-    below p and its inverse, and queues its p-th power and its commutators
-    with the basis.  The basis is then closed under both, an induced
-    polycyclic sequence of P, and sifting decides membership in P (Holt,
-    Eick and O'Brien, Handbook of Computational Group Theory, ch. 4 and 8).
+    of ``_schreier_generators``, walked until ``_saturated``.  Each is
+    sifted; a nonzero residual becomes a basis element b of L_i, scaled to
+    1 at its pivot, and queues b^p and its commutators with the basis of
+    each L_j with i + j < N.  The basis is then closed under both, an
+    induced polycyclic sequence of P, and sifting decides membership in P
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, ch. 4
+    and 8).
 
     Returns (lifts, layers): lifts maps the residues mod p of each element
-    of G_1 to the entries of its lift, and layers[i] is the basis of L_i
-    (layers[0] stays empty).  More than ``cap`` Schreier generators,
-    |G_1| times the number of generators, raise ResourceError before any
-    is sifted.
+    of G_1 to the entries of its lift, and layers[i] lists L_i's basis as
+    (pivot, vector, powers of b, b^(-1)); layers[0] stays empty.  More than
+    ``cap`` Schreier generators, |G_1| times the number of generators,
+    raise ResourceError before any is sifted.
     """
     q = p**levels
-    identity = ModMatrix.identity(n, q)
+    identity = ModMatrix.identity(n, q).entries
+    mul = partial(_product, n=n, m=q)
 
     def residues(entries: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(e % p for e in entries)
 
     multipliers = [_right_multiplication(g) for g in dict.fromkeys(reduce(g, q) for g in gens)]
-    lifts = _transversal(identity.entries, multipliers, residues, cap, "lifting the level-1 image")
+    lifts = _transversal(identity, multipliers, residues, cap, "lifting the level-1 image")
     count = len(lifts) * len(multipliers)
     if count > cap:
         raise ResourceError(
@@ -759,31 +807,31 @@ def _kernel_basis(
         )
     layers: list[list[tuple]] = [[] for _ in range(levels)]
 
-    def absorb(s: ModMatrix) -> None:
+    def absorb(s: tuple[int, ...]) -> None:
         pending = [s]
-        while pending:
-            i, h, v = _sift(pending.pop(), layers, p)
+        while pending and not _saturated(layers, n, p):
+            i, h, v = _sift(pending.pop(), layers, p, n)
             if not v:
                 continue
             pivot = next(k for k, a in enumerate(v) if a)
-            e = pow(v[pivot], -1, p)
-            powers = [identity, h**e]
-            for _ in range(p - 1):
-                powers.append(powers[-1] * powers[1])
-            b, b_inv = powers[1], powers[1].inverse()
-            pending.append(powers.pop())  # b^p
-            pending.extend(
-                b_inv * c_inv * b * powers_c[1]
-                for layer in layers for _, _, powers_c, c_inv in layer
-            )
-            layers[i].append((pivot, [a * e % p for a in v], powers, b_inv))
+            e, terms = pow(v[pivot], -1, p), -(-levels // i)
+            b = _kernel_power(h, e, n, q, terms)
+            b_inv = None  # b^p, b^(-1) and the commutators are I mod q once i + 1 >= N
+            if i + 1 < levels:
+                b_inv = _kernel_power(b, -1, n, q, terms)
+                pending.append(_kernel_power(b, p, n, q, terms))
+                pending.extend(
+                    mul(mul(b_inv, c_inv), mul(b, powers_c[1]))
+                    for j, layer in enumerate(layers) if i + j < levels
+                    for _, _, powers_c, c_inv in layer
+                )
+            layers[i].append((pivot, [a * e % p for a in v], {1: b}, b_inv))
 
-    for w in lifts.values():
-        for f in multipliers:
-            wg = f(w)
-            t = lifts[residues(wg)]
-            if wg != t:
-                absorb(ModMatrix._raw(n, q, wg) * ModMatrix._raw(n, q, t).inverse())
+    for s in _schreier_generators(lifts, multipliers, residues, mul,
+                                  lambda w: ModMatrix._raw(n, q, w).inverse().entries):
+        absorb(s)
+        if _saturated(layers, n, p):
+            break
     return lifts, layers
 
 
@@ -801,7 +849,7 @@ def _padic_depth(
     lifts, layers = _kernel_basis(gens, p, levels, cap, n=n)
     x = reduce(factor, p**levels)
     lift = ModMatrix._raw(n, x.m, lifts[tuple(e % p for e in x.entries)])
-    return _sift(lift.inverse() * x, layers, p)[0]
+    return _sift((lift.inverse() * x).entries, layers, p, n)[0]
 
 
 # ---------------------------------------------------------------------------

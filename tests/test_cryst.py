@@ -241,6 +241,33 @@ def test_translations_of_lower_rank_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "lattice", [["10", "01"], [("1", "0"), ["0", "1"]], [[1, 0]], [[1, 0], [0]]],
+    ids=["string-rows", "tuple-row", "too-few-rows", "short-row"],
+)
+def test_constructor_checks_the_lattice_shape(lattice):
+    # the constructor and the JSON reader share one check: a list of m
+    # lists of m entries, so a string row is never read character by character
+    with pytest.raises(InputError, match="lattice must be a list of m rows"):
+        CrystGroup(
+            m=2,
+            generators=[AffineElement(t=(1, 0), S=IntegerMatrix.identity(2)),
+                        AffineElement(t=(0, 1), S=IntegerMatrix.identity(2))],
+            lattice=lattice,
+        )
+
+
+def test_constructor_reads_exact_lattice_entries():
+    # ints, Fractions and "p/q" strings; a float or a bool is refused
+    torus = [AffineElement(t=(1, 0), S=IntegerMatrix.identity(2)),
+             AffineElement(t=(0, 1), S=IntegerMatrix.identity(2))]
+    group = CrystGroup(m=2, generators=torus, lattice=[["1", F(0)], [0, "2/2"]])
+    assert group.declared_lattice == ((1, 0), (0, 1))
+    for entry in (1.0, True):
+        with pytest.raises(InputError):
+            CrystGroup(m=2, generators=torus, lattice=[[entry, 0], [0, 1]])
+
+
 def test_json_roundtrip_group():
     kb = klein_bottle()
     again = CrystGroup.from_json_dict(kb.to_json_dict())

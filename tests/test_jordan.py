@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from congrusep import modgrp
+from congrusep import exactlin, jordan, modgrp
 from congrusep.errors import PreconditionError, ResourceError, SingularMatrixError
 from congrusep.exactlin import (
     IntegerMatrix,
@@ -506,6 +507,62 @@ def test_sl2z_passes_the_length_3_scan_and_is_refuted():
     assert not scan_refutes([S, R], 3)
     assert scan_refutes([S, R], 4)
     assert not is_virtually_unipotent_witness([S, R], CAP)
+
+
+def _counted_walk(monkeypatch):
+    """Patch the decision's Schreier walk to record how many generators it
+    yields (drawn) of how many there are (total), computed apart."""
+    walk = jordan._schreier_generators
+    counts = {"drawn": 0, "total": None}
+
+    def counted(*args):
+        counts["total"] = sum(1 for _ in walk(*args))
+        for s in walk(*args):
+            counts["drawn"] += 1
+            yield s
+
+    monkeypatch.setattr(jordan, "_schreier_generators", counted)
+    return counts
+
+
+def test_sl2z_from_s_and_u_is_refuted_before_the_walk_ends(monkeypatch):
+    # <S, U> = SL(2, Z) passes the first two steps (S^4 = I, U^3 and (SU)^6
+    # are unipotent, 24 <= B(2) elements mod 3) and is refuted in step 3, as
+    # soon as the span of the s - I goes over n(n-1)/2 or an s fails its
+    # char poly: long before the last Schreier generator is formed
+    counts = _counted_walk(monkeypatch)
+    assert not is_virtually_unipotent_witness([S, U], CAP)
+    assert counts["total"] is not None  # step 3 was reached
+    assert 0 < counts["drawn"] < counts["total"]
+
+
+@pytest.mark.parametrize("gens", [[U], HEIS3 + [-IntegerMatrix.identity(3)], klein_bottle_lift()],
+                         ids=["U", "heisenberg,-I", "klein-bottle"])
+def test_step_3_inverts_each_lift_at_most_once_and_only_when_used(monkeypatch, gens):
+    # lifts are inverted by an adjugate once per residue key that a
+    # nontrivial Schreier generator needs, never once per lift up front
+    n = gens[0].n
+    calls = []
+    adjugate = exactlin._adjugate_inverse
+
+    def counted(rows, det_inverse):
+        calls.append(1)
+        return adjugate(rows, det_inverse)
+
+    def residues(w):
+        return tuple(x % 3 for row in w for x in row)
+
+    times = [functools.partial(jordan._times_columns, cols=tuple(zip(*g.entries)))
+             for g in dict.fromkeys(gens)]
+    lifts = modgrp._transversal(IntegerMatrix.identity(n).entries, times, residues, CAP, "lifting")
+    used = {residues(f(w)) for w in lifts.values() for f in times
+            if f(w) != lifts[residues(f(w))]}
+    monkeypatch.setattr(exactlin, "_adjugate_inverse", counted)
+    monkeypatch.setattr(jordan, "_adjugate_inverse", counted, raising=False)
+    assert is_virtually_unipotent_witness(gens, CAP)
+    assert len(calls) <= len(used)
+    if gens == [U]:
+        assert (len(lifts), len(calls)) == (3, 1)  # only U^3 = U^2 U is a nontrivial s
 
 
 def _closures(monkeypatch):

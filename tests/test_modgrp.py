@@ -561,6 +561,33 @@ def test_pack_round_trips_and_keeps_tuple_order(case):
     assert [_unpack(x, n, m) for x in packed] == sorted(tuples)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.sampled_from([2, 12, 2**64 + 13]), st.randoms(use_true_random=False))
+def test_unpack_round_trips_up_to_n_30(n, m, rng):
+    # above 16 entries the packed int is split in halves before it is peeled
+    x = tuple(rng.randrange(m) for _ in range(n * n))
+    assert _unpack(_pack(x, m), n, m) == x
+    assert _unpack(_pack([m - 1] * (n * n), m), n, m) == (m - 1,) * (n * n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([2, 3, 5]), st.integers(1, 4), st.integers(1, 4),
+       st.randoms(use_true_random=False))
+def test_neumann_inverse_and_binomial_powers(n, p, levels, depth, rng):
+    # h = I mod p^i in GL(n, Z/p^N): the binomial series in h - I, cut at
+    # ceil(N / i) terms, is h^e; at e = -1 it is the Neumann series of h^-1
+    q, i = p**levels, min(depth, levels)
+    identity = ModMatrix.identity(n, q).entries
+    h = tuple((e + p**i * rng.randrange(q)) % q for e in identity)
+    terms = -(-levels // i)
+    h_inv = modgrp._kernel_power(h, -1, n, q, terms)
+    assert modgrp._product(h, h_inv, n, q) == identity
+    assert modgrp._product(h_inv, h, n, q) == identity
+    mul = functools.partial(modgrp._product, n=n, m=q)
+    for e in (0, 1, 2, p - 1, p, rng.randrange(100)):
+        assert modgrp._kernel_power(h, e, n, q, terms) == exactlin._power(h, e, identity, mul)
+
+
 def test_isdisjoint_matches_tuple_sets():
     seen = set()
     for gens in ([U], [U, L], [NEG_I]):

@@ -431,6 +431,109 @@ def test_witness_prime_builds_no_kernel_basis_before_p_squared():
     assert (w.prime, w.level, w.reason) == (5, 1, "image-escape")
 
 
+L = IntegerMatrix([[1, 0], [1, 1]])
+SL3_PAIR = [IntegerMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]]),
+            IntegerMatrix([[1, 0, 0], [1, 1, 0], [0, 1, 1]])]
+
+
+def _kernel_walk(monkeypatch, gens, p, levels, stop):
+    """(lifts, layers, Schreier generators drawn) of ``_kernel_basis``,
+    with the saturation stop on or off."""
+    walk = modgrp._schreier_generators
+    drawn = []
+
+    def counted(*args):
+        for s in walk(*args):
+            drawn.append(s)
+            yield s
+
+    with monkeypatch.context() as patch:
+        patch.setattr(modgrp, "_schreier_generators", counted)
+        if not stop:
+            patch.setattr(modgrp, "_saturated", lambda *args: False)
+        lifts, layers = modgrp._kernel_basis(gens, p, levels, modgrp.DEFAULT_CAP, n=gens[0].n)
+    return lifts, layers, len(drawn)
+
+
+def _depth(lifts, layers, factor, p):
+    # _padic_depth's last step, on a basis already built
+    x = modgrp.reduce(factor, p ** len(layers))
+    lift = modgrp.ModMatrix._raw(x.n, x.m, lifts[tuple(e % p for e in x.entries)])
+    return modgrp._sift((lift.inverse() * x).entries, layers, p, x.n)[0]
+
+
+def _check_saturation_stop(monkeypatch, gens, p, levels, factors):
+    lifts, layers, drawn = _kernel_walk(monkeypatch, gens, p, levels, stop=True)
+    full_lifts, full_layers, full_drawn = _kernel_walk(monkeypatch, gens, p, levels, stop=False)
+    n = gens[0].n
+    assert lifts == full_lifts
+    assert [len(layer) for layer in layers] == [len(layer) for layer in full_layers]
+    assert all(len(layer) == n * n - 1 for layer in layers[1:])  # the stop fired
+    assert drawn < full_drawn
+    for factor in factors:
+        assert _depth(lifts, layers, factor, p) == _depth(full_lifts, full_layers, factor, p)
+
+
+@pytest.mark.parametrize("p, levels", [(3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (7, 3)])
+def test_saturation_stop_keeps_layers_and_depths(monkeypatch, p, levels):
+    # <U, L> = SL(2, Z): every layer fills at dimension 3 = n^2 - 1, and the
+    # stop sifts a few Schreier generators instead of about |SL(2, F_p)|.
+    # The factors lie in G_1 mod p; by their determinants, 1 + 2p and
+    # 1 + p^2, the last two have depths 1 and 2
+    factors = [IntegerMatrix.identity(2), -IntegerMatrix.identity(2), U * L,
+               IntegerMatrix([[1, p * p], [0, 1]]), IntegerMatrix([[1 + p, p], [p, 1 + p]]),
+               IntegerMatrix([[1 + p * p, 0], [0, 1]])]
+    _check_saturation_stop(monkeypatch, [U, L], p, levels, factors)
+    assert modgrp._padic_depth(-RationalMatrix.identity(2), [U, L], p, levels,
+                               modgrp.DEFAULT_CAP, n=2) == levels
+
+
+def test_saturation_stop_on_the_sl3_pair_mod_3(monkeypatch):
+    factors = [IntegerMatrix.identity(3), SL3_PAIR[0] * SL3_PAIR[1],
+               IntegerMatrix([[1, 3, 0], [0, 1, 0], [0, 0, 1]]),
+               IntegerMatrix([[-2, 0, 0], [0, 1, 0], [0, 0, 1]])]
+    _check_saturation_stop(monkeypatch, SL3_PAIR, 3, 2, factors)
+
+
+@pytest.mark.slow
+def test_saturation_stop_on_the_sl3_pair_mod_5(monkeypatch):
+    # the full walk sifts about 372,000 Schreier generators (about a minute)
+    factors = [IntegerMatrix.identity(3), SL3_PAIR[0] * SL3_PAIR[1],
+               IntegerMatrix([[1, 5, 0], [0, 1, 0], [0, 0, 1]])]
+    _check_saturation_stop(monkeypatch, SL3_PAIR, 5, 2, factors)
+
+
+def test_saturation_stop_needs_an_odd_prime(monkeypatch):
+    # for p = 2 the first layer may have dimension n^2, so no stop is taken
+    _, layers, drawn = _kernel_walk(monkeypatch, [U, L], 2, 3, stop=True)
+    _, full_layers, full_drawn = _kernel_walk(monkeypatch, [U, L], 2, 3, stop=False)
+    assert [len(layer) for layer in layers] == [len(layer) for layer in full_layers]
+    assert drawn == full_drawn
+
+
+@pytest.mark.parametrize("gens, p", [([U], 23), ([U, L], 5), ([U, L], 2), (SL3_PAIR, 3)])
+def test_kernel_basis_inverts_each_lift_at_most_once_and_only_when_used(monkeypatch, gens, p):
+    # a lift is inverted once per residue key that a nontrivial Schreier
+    # generator needs; <U> mod 23 has one such key among 23 lifts, the
+    # identity's, which takes no adjugate.  Basis elements are inverted by
+    # the Neumann series, with no adjugate either
+    calls = []
+    adjugate = modgrp._adjugate_inverse
+
+    def counted(rows, det_inverse):
+        calls.append(1)
+        return adjugate(rows, det_inverse)
+
+    monkeypatch.setattr(modgrp, "_adjugate_inverse", counted)
+    lifts, _, _ = _kernel_walk(monkeypatch, gens, p, 3, stop=False)
+    maps = [modgrp._right_multiplication(modgrp.reduce(g, p**3)) for g in gens]
+    used = {tuple(e % p for e in f(w)) for w in lifts.values() for f in maps
+            if f(w) != lifts[tuple(e % p for e in f(w))]}
+    assert len(calls) <= len(used)
+    if gens == [U]:
+        assert (len(lifts), len(used), len(calls)) == (23, 1, 0)
+
+
 # ---------------------------------------------------------------------------
 # torsion tables
 # ---------------------------------------------------------------------------
