@@ -16,6 +16,7 @@ Nothing in the core algorithms is randomized.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -252,7 +253,9 @@ def _add_flags(
                             help="comma-separated strictly increasing moduli")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it as built."""
     parser = argparse.ArgumentParser(
         prog="congrusep",
         description="Congruence-subgroup separation certificates for integer"

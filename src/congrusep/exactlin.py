@@ -194,10 +194,13 @@ class _ExactMatrix:
     A subclass checks or coerces its entries and hands the row tuples to
     ``__init__`` here; it names the operands its ring accepts in
     ``_operand`` and its inverse for negative powers in ``_ring_inverse``.
-    Sums, differences and products have the subclass's type.
+    Sums, differences, products, negations and identities have the
+    subclass's type and are built by ``_raw``, which checks nothing.
     """
 
     __slots__ = ("rows", "cols", "entries", "_hash")
+
+    _ONE = 1  # the ring's one, for identities built by ``_raw``
 
     def __init__(self, rows: tuple[tuple, ...]):
         if not rows or not rows[0]:
@@ -210,6 +213,17 @@ class _ExactMatrix:
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _raw(cls, rows: tuple[tuple, ...]):
+        # fast path for matrices computed from checked ones: rows are
+        # non-empty tuples of one width, entries already of the ring's type
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "rows", len(rows))
+        object.__setattr__(obj, "cols", len(rows[0]))
+        object.__setattr__(obj, "entries", rows)
+        object.__setattr__(obj, "_hash", None)
+        return obj
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
@@ -217,7 +231,8 @@ class _ExactMatrix:
 
     @classmethod
     def identity(cls, n: int):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        rows = tuple(tuple(cls._ONE * (i == j) for j in range(n)) for i in range(n))
+        return cls._raw(rows) if rows else cls(rows)  # n < 1 is refused
 
     @classmethod
     def zeros(cls, rows: int, cols: int | None = None):
@@ -296,12 +311,9 @@ class _ExactMatrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        b = other.entries
-        return type(self)(
-            [
-                [sum(arow[k] * b[k][j] for k in range(self.cols)) for j in range(other.cols)]
-                for arow in self.entries
-            ]
+        cols = tuple(zip(*other.entries))
+        return self._raw(
+            tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in self.entries)
         )
 
     def __add__(self, other):
@@ -309,8 +321,8 @@ class _ExactMatrix:
         if other is None:
             return NotImplemented
         self._same_shape(other)
-        return type(self)(
-            [[x + y for x, y in zip(arow, brow)] for arow, brow in zip(self.entries, other.entries)]
+        return self._raw(
+            tuple(tuple(map(operator.add, a, b)) for a, b in zip(self.entries, other.entries))
         )
 
     def __sub__(self, other):
@@ -318,12 +330,12 @@ class _ExactMatrix:
         if other is None:
             return NotImplemented
         self._same_shape(other)
-        return type(self)(
-            [[x - y for x, y in zip(arow, brow)] for arow, brow in zip(self.entries, other.entries)]
+        return self._raw(
+            tuple(tuple(map(operator.sub, a, b)) for a, b in zip(self.entries, other.entries))
         )
 
     def __neg__(self):
-        return type(self)([[-x for x in row] for row in self.entries])
+        return self._raw(tuple(tuple(-x for x in row) for row in self.entries))
 
     def __pow__(self, exponent: int):
         n = self.n
@@ -392,6 +404,7 @@ class RationalMatrix(_ExactMatrix):
     """An immutable matrix with exact rational entries (always reduced)."""
 
     __slots__ = ()
+    _ONE = Fraction(1)
 
     def __init__(self, entries: Sequence[Sequence]):
         super().__init__(tuple(tuple(Fraction(x) for x in row) for row in entries))
@@ -780,7 +793,7 @@ def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
             m[t] = [-x for x in m[t]]
             u[t] = [-x for x in u[t]]
         t += 1
-    return SmithDecomposition(U=IntegerMatrix(u), D=IntegerMatrix(m), V=IntegerMatrix(v))
+    return SmithDecomposition(*(IntegerMatrix._raw(tuple(map(tuple, x))) for x in (u, m, v)))
 
 
 # ---------------------------------------------------------------------------

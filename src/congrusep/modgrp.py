@@ -167,10 +167,15 @@ def _rows(entries: Sequence[int], n: int) -> list[list[int]]:
     return [list(entries[i : i + n]) for i in range(0, n * n, n)]
 
 
-def _pack(entries: Iterable[int], m: int) -> int:
-    """The mixed-radix-m number sum e_k m^(n^2 - 1 - k) of row-major
-    residues e_k in [0, m), by Horner's rule.  Packing is injective, and
-    packed ints sort as their entry tuples do."""
+def _pack(entries: Sequence[int], m: int) -> int:
+    """The mixed-radix-m number sum e_k m^(K - 1 - k) of the K row-major
+    residues e_k in [0, m), by Horner's rule, on halves above 16 entries as
+    ``_unpack`` splits them.  Packing is injective, and packed ints sort as
+    their entry tuples do."""
+    k = len(entries)
+    if k > 16:
+        low = k // 2
+        return _pack(entries[: k - low], m) * m**low + _pack(entries[k - low :], m)
     x = 0
     for e in entries:
         x = x * m + e
@@ -925,10 +930,10 @@ def is_conjugate_mod(a: IntegerMatrix, b: IntegerMatrix, m: int) -> bool:
     # column i*n + j is E_ij a - b E_ij, row-major: its (r, c) entry is
     # [r == i] a[j][c] - b[r][i] [j == c]
     x, y = a.entries, b.entries
-    op = IntegerMatrix([
-        [(r == i) * x[j][c] - y[r][i] * (j == c) for i in range(n) for j in range(n)]
+    op = IntegerMatrix._raw(tuple(
+        tuple((r == i) * x[j][c] - y[r][i] * (j == c) for i in range(n) for j in range(n))
         for r in range(n)
         for c in range(n)
-    ])
+    ))
     snf = exactlin.smith_normal_form(op)
     return all(_conjugate_mod_prime_power(snf, n, p, e) for p, e in factors)

@@ -26,7 +26,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from math import lcm
+from math import lcm, prod
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 from . import modgrp
@@ -725,21 +726,22 @@ def torsion_class_table(n: int) -> TorsionTable:
     return TorsionTable(n=n, version=version, entries=tuple(entries))
 
 
-def _box_symmetries(n: int) -> list[tuple[tuple[int, int], ...]]:
-    """Conjugation by each signed permutation matrix, as maps on flat
-    entry tuples.  For P e_j = s_j e_pi(j), the conjugate P^-1 g P has
-    entries s_i s_j g[pi(i)][pi(j)]; the map lists, for each flat entry,
-    the pair (index of the source entry, sign).  P and -P act alike, so
-    s_0 = 1 is fixed: the 2^(n-1) n! maps are distinct, the identity among
-    them."""
+def _box_symmetries(n: int) -> list[tuple[itemgetter, tuple[int, ...]]]:
+    """Conjugation by each signed permutation matrix but +-I, as maps on
+    flat entry tuples.  For P e_j = s_j e_pi(j), the conjugate P^-1 g P has
+    entries s_i s_j g[pi(i)][pi(j)]; a map is the pair (getter of the
+    source entries, their signs).  P and -P act alike, so s_0 = 1 is fixed:
+    the 2^(n-1) n! - 1 maps are distinct, and each takes n^2 >= 4 entries,
+    so its getter returns a tuple."""
     out = []
     for perm in itertools.permutations(range(n)):
         for tail in itertools.product((1, -1), repeat=n - 1):
             s = (1,) + tail
-            out.append(tuple(
-                (perm[i] * n + perm[j], s[i] * s[j]) for i in range(n) for j in range(n)
+            out.append((
+                itemgetter(*(perm[i] * n + perm[j] for i in range(n) for j in range(n))),
+                tuple(s[i] * s[j] for i in range(n) for j in range(n)),
             ))
-    return out
+    return out[1:]  # the first is the identity
 
 
 def _last_rows(
@@ -813,16 +815,31 @@ def validate_torsion_table(
     the first n - 1 rows, ``_last_rows`` yields the last rows that make
     det = +-1 and |trace| <= n.  Conjugation keeps det and trace, so every
     orbit member a decision is kept for is generated.
+
+    An element g of order k is decided only mod part_k, the part of
+    joint = lcm(moduli) at the primes dividing k (part_k = 1 matches every
+    candidate).  By the Chinese remainder theorem, conjugacy mod every
+    listed modulus is conjugacy mod each prime power exactly dividing
+    joint, and at the primes prime to k it holds by this lemma:
+
+    Lemma.  Let g and t have the same finite order k and the same char
+    poly, and let p not divide k.  Then g and t are conjugate mod p^e for
+    every e >= 1.
+
+    Proof.  (1) Mod p both are semisimple, because x^k - 1 is separable
+    over F_p; with the same char poly they are conjugate in GL(n, F_p).
+    (2) Lift that conjugator, so that t = g mod p.  (3) The kernel K of
+    GL(n, Z/p^e) -> GL(n, F_p) is a p-group, and <g>, <t> are complements
+    of K in <g>K, of order prime to p.  By Schur-Zassenhaus some h in K has
+    h<t>h^-1 = <g>.  Then hth^-1 = g mod p, and <g> meets K trivially, so
+    hth^-1 = g.
     """
     from .exactlin import char_poly  # at call time, so a wrapper on it is seen
 
     if any(m < 2 for m in moduli):
         raise InputError("screen moduli must be >= 2")
-    # Conjugate mod every listed modulus iff conjugate mod their lcm: each
-    # divides joint, and by the Chinese remainder theorem GL(n, Z/joint) is
-    # the product over the prime powers exactly dividing joint, each of which
-    # divides a listed modulus.  No moduli: match on (order, char poly) alone.
-    joint = lcm(*moduli)
+    # no moduli: joint = 1, so every part_k is 1 and (order, char poly) decide
+    joint_factors = factorize(lcm(*moduli))
     if table is None:
         table = torsion_class_table(n)
     buckets: dict[tuple, list[IntegerMatrix]] = {}
@@ -831,8 +848,11 @@ def validate_torsion_table(
         if order is None:
             raise InputError("table entry has infinite order")
         buckets.setdefault((order, char_poly(entry)), []).append(entry)
+    parts = {k: prod(p**e for p, e in joint_factors if k % p == 0) for k, _ in buckets}
 
     symmetries = _box_symmetries(n)
+    # tr g^2 is the dot product of g and its transpose; one index: no getter
+    transpose = itemgetter(*(k * n + i for i in range(n) for k in range(n))) if n > 1 else tuple
     # orbit members not reached yet -> whether they are unmatched
     pending: dict[tuple[int, ...], bool] = {}
     unmatched = []
@@ -845,25 +865,23 @@ def validate_torsion_table(
             missing = pending.pop(flat, None)
             if missing is None:
                 # torsion forces every eigenvalue onto the unit circle: |tr g^k| <= n
-                sq_trace = sum(
-                    sum(rows[i][k] * rows[k][i] for k in range(n)) for i in range(n)
-                )
-                if abs(sq_trace) > n:
+                if abs(sum(map(mul, flat, transpose(flat)))) > n:
                     continue
-                g = IntegerMatrix(rows)
+                g = IntegerMatrix._raw(tuple(rows))
                 order = torsion_order(g)
                 if order is None:
                     missing = False
                 else:
+                    part = parts.get(order, 1)  # no entry of that order: no candidates
                     candidates = buckets.get((order, char_poly(g)), [])
                     missing = not any(
-                        not moduli or modgrp.is_conjugate_mod(g, t, joint)
+                        part == 1 or modgrp.is_conjugate_mod(g, t, part)
                         for t in candidates
                     )
-                for symmetry in symmetries:
-                    mate = tuple(sign * flat[k] for k, sign in symmetry)
+                for source, signs in symmetries:
+                    mate = tuple(map(mul, signs, source(flat)))
                     if mate > flat:
                         pending[mate] = missing
             if missing:
-                unmatched.append(IntegerMatrix(rows))
+                unmatched.append(IntegerMatrix._raw(tuple(rows)))
     return unmatched

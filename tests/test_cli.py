@@ -566,6 +566,30 @@ def test_verify_in_fresh_process(tmp_path):
     assert result.returncode == 0
 
 
+def test_one_process_answers_each_call_as_a_fresh_process_would(capsys):
+    # main shares one parser across calls; a bad call must leave it as built
+    calls = [
+        ["torsion-free", U_GENS, "--full"],
+        ["avoid", U_GENS, NEG_I],
+        ["torsion-free", U_GENS],
+        ["witness-prime", NEG_I, U_GENS],
+    ]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "congrusep.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert code == 0 and build_parser() is build_parser()
+
+
 def test_byte_identical_across_processes(tmp_path):
     runs = []
     for _ in range(2):

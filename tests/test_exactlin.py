@@ -189,8 +189,10 @@ def test_factorize_is_bounded():
 
 
 def test_integer_matrix_rejects_nonints():
-    with pytest.raises(InputError):
-        IntegerMatrix([[1.5, 0], [0, 1]])
+    # computed matrices skip this check; what a caller passes in does not
+    for entry in (1.5, True, "1"):
+        with pytest.raises(InputError):
+            IntegerMatrix([[entry, 0], [0, 1]])
 
 
 def test_entries_always_reduced():
@@ -217,6 +219,27 @@ def test_json_rejects_floats():
 def test_integer_json_rejects_fractions():
     with pytest.raises(InputError):
         IntegerMatrix.from_json_dict({"n": 2, "entries": [["1/2", "0"], ["0", "1"]]})
+
+
+@pytest.mark.parametrize("cls", [IntegerMatrix, RationalMatrix])
+def test_computed_matrices_equal_and_hash_like_public_ones(cls):
+    rng = random.Random(22)
+    a = cls([[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)])
+    b = cls([[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)])
+    cols = list(zip(*b.entries))
+    computed = [
+        (a * b, [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.entries]),
+        (a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(a.entries, b.entries)]),
+        (a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(a.entries, b.entries)]),
+        (-a, [[-x for x in row] for row in a.entries]),
+        (cls.identity(3), [[int(i == j) for j in range(3)] for i in range(3)]),
+    ]
+    for got, rows in computed:
+        public = cls(rows)
+        assert type(got) is cls
+        assert got == public and hash(got) == hash(public)
+        assert all(type(x) is type(y) for r, s in zip(got.entries, public.entries)
+                   for x, y in zip(r, s))
 
 
 @pytest.mark.parametrize("cls", [IntegerMatrix, RationalMatrix])
@@ -449,6 +472,9 @@ def test_snf_invariants_random(seed):
     snf = smith_normal_form(a)
     assert snf.U * a * snf.V == snf.D
     assert abs(snf.U.det()) == 1 and abs(snf.V.det()) == 1
+    for x in (snf.U, snf.D, snf.V):  # built unchecked, from the reduction's own ints
+        public = IntegerMatrix(x.entries)
+        assert x == public and hash(x) == hash(public)
     factors = snf.invariant_factors
     for x, y in zip(factors, factors[1:]):
         assert y % x == 0

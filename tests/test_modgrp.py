@@ -564,10 +564,17 @@ def test_pack_round_trips_and_keeps_tuple_order(case):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 30), st.sampled_from([2, 12, 2**64 + 13]), st.randoms(use_true_random=False))
 def test_unpack_round_trips_up_to_n_30(n, m, rng):
-    # above 16 entries the packed int is split in halves before it is peeled
+    # above 16 entries the packed int is split in halves before it is peeled,
+    # and packed from halves joined by one product
     x = tuple(rng.randrange(m) for _ in range(n * n))
     assert _unpack(_pack(x, m), n, m) == x
     assert _unpack(_pack([m - 1] * (n * n), m), n, m) == (m - 1,) * (n * n)
+    for y in (x, [m - 1] * (n * n)):
+        horner = 0
+        for e in y:
+            horner = horner * m + e
+        assert _pack(y, m) == horner
+
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -16,7 +17,7 @@ from congrusep.errors import (
     ResourceError,
     ScheduleExhaustedError,
 )
-from congrusep.exactlin import IntegerMatrix, Polynomial, RationalMatrix, char_poly
+from congrusep.exactlin import IntegerMatrix, Polynomial, RationalMatrix, char_poly, factorize
 from congrusep import modgrp, separate
 from congrusep.separate import (
     SeparationCertificate,
@@ -746,7 +747,10 @@ def test_conjugacy_at_lcm_separates_reflections():
     assert not modgrp.is_conjugate_mod(refl1, refl2, 360)
 
 
-def test_conjugacy_at_lcm_matches_every_modulus_on_screen_pairs():
+@functools.cache
+def _screen_pairs():
+    """(g, t) for each torsion g of the n = 3 box [-1, 1] and each table
+    entry t of the same order and char poly."""
     buckets = {}
     for t in torsion_class_table(3).entries:
         buckets.setdefault((torsion_order(t), char_poly(t)), []).append(t)
@@ -755,12 +759,60 @@ def test_conjugacy_at_lcm_matches_every_modulus_on_screen_pairs():
         order = torsion_order(g)
         if order is not None:
             pairs.extend((g, t) for t in buckets[order, char_poly(g)])
+    return pairs
+
+
+def test_conjugacy_at_lcm_matches_every_modulus_on_screen_pairs():
     outcomes = set()
-    for g, t in random.Random(6).sample(pairs, 60):
+    for g, t in random.Random(6).sample(_screen_pairs(), 60):
         joint = modgrp.is_conjugate_mod(g, t, 2520)
         assert joint == all(modgrp.is_conjugate_mod(g, t, m) for m in (5, 7, 8, 9))
         outcomes.add(joint)
     assert outcomes == {True, False}
+
+
+def test_screen_pairs_are_conjugate_at_every_prime_not_dividing_their_order():
+    # the lemma of validate_torsion_table, at p and at the default power of p
+    refuted = 0
+    for g, t in random.Random(22).sample(_screen_pairs(), 60):
+        k = torsion_order(g)
+        for p, q in ((2, 8), (3, 9), (5, 5), (7, 7)):
+            if k % p:
+                assert modgrp.is_conjugate_mod(g, t, p)
+                assert modgrp.is_conjugate_mod(g, t, q)
+            else:
+                refuted += not modgrp.is_conjugate_mod(g, t, q)
+    assert refuted  # at a prime dividing the order the answer is not forced
+
+
+def test_table_screen_decides_only_at_primes_dividing_the_order(monkeypatch):
+    asked = []
+    decide = modgrp.is_conjugate_mod
+
+    def recording(a, b, m):
+        asked.append((a, m))
+        return decide(a, b, m)
+
+    monkeypatch.setattr(modgrp, "is_conjugate_mod", recording)
+    assert validate_torsion_table(3, bound=1) == []
+    # orders 2 and 4 ask mod 8, order 3 mod 9, order 6 mod 72; never 2520
+    assert {m for _, m in asked} == {8, 9, 72}
+    for a, m in asked:
+        assert all(torsion_order(a) % p == 0 for p, _ in factorize(m))
+
+
+ORDER6_SPLIT = IntegerMatrix([[1, 0, 0], [0, 0, -1], [0, 1, 1]])
+
+
+@pytest.mark.parametrize("moduli, dropped", [
+    ((8,), NONSPLIT4),
+    ((5,), ORDER6_SPLIT),  # 5 divides no order: every part_k is 1
+    ((4, 3), NONSPLIT4),
+])
+def test_table_screen_matches_oracle_at_moduli_that_skip_some_orders(moduli, dropped):
+    table = _without(torsion_class_table(3), dropped)
+    got = validate_torsion_table(3, bound=1, moduli=moduli, table=table)
+    assert got and got == screen_reference(3, 1, moduli, table)
 
 
 # ---------------------------------------------------------------------------
