@@ -28,6 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import attrgetter
 from typing import Callable, Sequence
 
@@ -37,6 +38,7 @@ from .exactlin import (
     RationalMatrix,
     _parse_exact,
     _solve_exact,
+    _times_columns,
     integer_kernel_basis,
     lattice_basis,
     mat_vec,
@@ -44,7 +46,7 @@ from .exactlin import (
     solve_integer_linear,
 )
 from .jordan import _max_finite_subgroup, torsion_order
-from .modgrp import _closure, _transversal
+from .modgrp import _schreier_generators, _schreier_transversal
 
 #: Closure budget for the holonomy group: above F(m), the largest finite
 #: holonomy, for m <= 5.
@@ -125,10 +127,10 @@ def _is_square_array(rows, n: int) -> bool:
 class CrystGroup:
     """A crystallographic group with validated lattice and finite holonomy.
 
-    Construction closes the holonomy group, picks a first-reached witness
-    element for each holonomy matrix, takes the translation lattice from the
-    Schreier generators of that transversal, and checks it matches the
-    declared one.
+    Construction walks one Schreier tree over the holonomy group, whose
+    keys are the holonomy matrices and whose lifts are first-reached witness
+    elements, takes the translation lattice from the Schreier generators of
+    that transversal, and checks it matches the declared one.
     """
 
     def __init__(
@@ -160,9 +162,21 @@ class CrystGroup:
         self.m = m
         self.generators = gens
         self.declared_lattice = declared
-        self.holonomy = self._close_holonomy()
-        self._witnesses = self._first_witnesses()
-        basis = lattice_basis(self._schreier_translations(), m)
+        letters = dict.fromkeys(x for g in gens for x in (g, g.inverse()))
+        walk = (  # the maps of words in g, g^-1 on holonomy row tuples and on elements
+            [partial(_times_columns, cols=tuple(zip(*a.S.entries))) for a in letters],
+            [lambda x, a=a: x.compose(a) for a in letters],
+        )
+        tree = self._holonomy_tree(*walk)
+        self._witnesses = {IntegerMatrix._raw(s): w for s, w in tree.items()}
+        self.holonomy = tuple(sorted(self._witnesses, key=attrgetter("entries")))
+        # Schreier's lemma: the w_h a w_(h S_a)^-1 generate the translation
+        # subgroup, and each is the translation by the difference of the two
+        # translation parts, as w_h a and w_(h S_a) share their holonomy part
+        schreier = _schreier_generators(
+            tree, *walk, lambda wa, w: [x - y for x, y in zip(wa.t, w.t)], lambda w: w
+        )
+        basis = lattice_basis(list(schreier), m)
         if len(basis) != m:
             raise InputError(
                 f"translations span rank {len(basis)} < {m}:"
@@ -175,17 +189,17 @@ class CrystGroup:
 
     # -- construction helpers ---------------------------------------------
 
-    def _close_holonomy(self) -> tuple[IntegerMatrix, ...]:
-        """The holonomy group, closed under min(F(m), ``HOLONOMY_BUDGET``):
-        more than F(m) elements prove it infinite (InputError), while a
-        budget below F(m) that stops the closure decides nothing
-        (ResourceError)."""
-        maps = [lambda x, s=g.S: x * s for g in self.generators]
+    def _holonomy_tree(self, key_maps, lift_maps) -> dict:
+        """The Schreier tree on the holonomy (row tuples), each lift the first
+        element a breadth-first walk over words reaches, under min(F(m),
+        ``HOLONOMY_BUDGET``) keys: more than F(m) prove the holonomy infinite
+        (InputError), while a budget below F(m) that stops the walk decides
+        nothing (ResourceError)."""
         bound = _max_finite_subgroup(self.m)
         try:
-            elements, _ = _closure(
-                IntegerMatrix.identity(self.m), maps, min(bound, HOLONOMY_BUDGET),
-                "closing the holonomy",
+            return _schreier_transversal(
+                IntegerMatrix.identity(self.m).entries, AffineElement.identity(self.m),
+                key_maps, lift_maps, min(bound, HOLONOMY_BUDGET), "closing the holonomy",
             )
         except ResourceError:
             if HOLONOMY_BUDGET < bound:
@@ -194,27 +208,6 @@ class CrystGroup:
                 "holonomy closure exceeded budget: holonomy is"
                 " not finite, input is not crystallographic"
             ) from None
-        return tuple(sorted(elements, key=lambda s: s.entries))
-
-    def _first_witnesses(self) -> dict[IntegerMatrix, AffineElement]:
-        """The first element a breadth-first walk over words in g, g^-1
-        reaches for each holonomy matrix."""
-        letters = dict.fromkeys(x for g in self.generators for x in (g, g.inverse()))
-        return _transversal(
-            AffineElement.identity(self.m), [lambda x, a=a: x.compose(a) for a in letters],
-            attrgetter("S"), len(self.holonomy), "choosing holonomy witnesses",
-        )
-
-    def _schreier_translations(self) -> list[tuple[Fraction, ...]]:
-        """The vectors of w_h g w_(h S_g)^-1 over every holonomy h and
-        generator g: by Schreier's lemma they generate the translation
-        subgroup, the kernel of the holonomy map."""
-        out = []
-        for w in self._witnesses.values():
-            for g in self.generators:
-                wg = w.compose(g)
-                out.append(tuple(a - b for a, b in zip(wg.t, self._witnesses[wg.S].t)))
-        return out
 
     def _validate_lattice(self) -> None:
         # the computed lattice is that of a normal subgroup, so holonomy-
@@ -400,6 +393,8 @@ def semifactor_representatives(group: CrystGroup) -> SemiFactorSet:
         diff = s_local.to_rational() - RationalMatrix.identity(m)
         # projection onto the moving subspace along the fixed one
         proj = RationalMatrix.identity(m) - fixed
+        # W P W^-1 is s_ambient's own projector (averaging commutes with conjugation)
+        fixed_ambient = w * fixed * group._lattice_inverse
 
         # lattice of the moving subspace: SNF-reported quotient uses the
         # saturated sublattice L ∩ moving; the torsor uses proj(L)
@@ -451,8 +446,9 @@ def semifactor_representatives(group: CrystGroup) -> SemiFactorSet:
             lam_ambient = mat_vec(w, lam_local)
             elem = AffineElement.translation(lam_ambient).compose(witness)
             t_s_ambient = mat_vec(w, t_s_local)
-            check_s, _ = affine_jordan(elem)
-            if check_s.t != t_s_ambient or check_s.S != s_ambient:
+            # affine_jordan's split of elem, with the component's one projector
+            t_u = mat_vec(fixed_ambient, elem.t)
+            if elem.S != s_ambient or any(a - b != c for a, b, c in zip(elem.t, t_u, t_s_ambient)):
                 raise AssertionError("witness does not realize its representative")
             reps.append((t_s_ambient, elem))
         components.append(

@@ -19,6 +19,7 @@ exactness survives serialization).  Plain JSON integers are accepted on input.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -37,6 +38,10 @@ from .errors import (
 _BIT_BOUND = 10**6
 
 
+#: A string entry: an optional sign, decimal digits and an optional "/digits".
+_EXACT_ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _parse_exact(value) -> Fraction:
     """Parse an exact scalar: an int, a Fraction or a 'p' / 'p/q' string."""
     if isinstance(value, bool):
@@ -45,10 +50,26 @@ def _parse_exact(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            if not _EXACT_ENTRY.fullmatch(value):
+                raise ValueError("not the README's entry grammar")
+            return Fraction(value)  # ValueError past the interpreter's digit limit
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse exact entry {value!r}") from exc
     raise InputError(f"matrix entries must be ints or strings, got {type(value).__name__}")
+
+
+def _int_text(x: int) -> str:
+    """x in decimal for an error message, or its size past the digit limit."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"a {x.bit_length()}-bit integer"
+
+
+def _times_columns(a: tuple, cols: tuple) -> tuple:
+    """The rows of a b for b given by its columns, on row tuples with no
+    entry checks (list comprehensions build them faster than generators)."""
+    return tuple([tuple([sum(map(operator.mul, row, col)) for col in cols]) for row in a])
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
@@ -173,7 +194,7 @@ def factorize(x: int) -> list[tuple[int, int]]:
             if x < _MILLER_RABIN_LIMIT and _is_prime_miller_rabin(x):
                 break
             raise ResourceError(
-                f"cannot factor {x}: no prime factor up to"
+                f"cannot factor {_int_text(x)}: no prime factor up to"
                 f" {_TRIAL_DIVISION_BOUND} and not certifiably prime"
             )
         if x % p == 0:
@@ -311,10 +332,7 @@ class _ExactMatrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        cols = tuple(zip(*other.entries))
-        return self._raw(
-            tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in self.entries)
-        )
+        return self._raw(_times_columns(self.entries, tuple(zip(*other.entries))))
 
     def __add__(self, other):
         other = self._operand(other)
@@ -391,7 +409,7 @@ class IntegerMatrix(_ExactMatrix):
         ``_adjugate_inverse``, with det^(-1) = det."""
         d = self.det()
         if d not in (1, -1):
-            raise PreconditionError(f"matrix is not unimodular: det = {d}")
+            raise PreconditionError(f"matrix is not unimodular: det = {_int_text(d)}")
         return IntegerMatrix(_adjugate_inverse(self.entries, d))
 
     _ring_inverse = unimodular_inverse

@@ -20,20 +20,22 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
 from math import comb, factorial, gcd, lcm, prod
-from operator import mul
 
 from .errors import PreconditionError, ResourceError, SingularMatrixError
 from .exactlin import (
     IntegerMatrix,
     Polynomial,
     RationalMatrix,
+    _int_text,
     _power,
+    _times_columns,
     char_poly,
     factorize,
     poly_xgcd,
     squarefree_part,
 )
-from .modgrp import _product, _schreier_generators, _transversal, congruence_image
+from .modgrp import _product, _right_multiplication, _schreier_generators, _schreier_transversal
+from .modgrp import congruence_image, reduce
 
 _MAX_NEWTON_STEPS = 64  # ceil(log2 n) + slack; evaluated exactly, never hit
 
@@ -194,7 +196,7 @@ def torsion_order(g: IntegerMatrix) -> int | None:
     """
     n = g.n
     if g.det() not in (1, -1):
-        raise PreconditionError(f"matrix not in GL({n},Z): det = {g.det()}")
+        raise PreconditionError(f"matrix not in GL({n},Z): det = {_int_text(g.det())}")
     k = _order_mod3(g, _orders_lcm(n))
     if k is None or k > max_torsion_order(n):
         return None
@@ -218,12 +220,6 @@ def _max_finite_subgroup(n: int) -> int:
 def _mod3_image_bound(n: int) -> int:
     """B(n) = F(n) 3^(n(n-1)/2): a larger mod-3 image refutes virtual unipotency."""
     return _max_finite_subgroup(n) * 3 ** (n * (n - 1) // 2)
-
-
-def _times_columns(a: tuple, cols: tuple) -> tuple:
-    """The rows of a b, for b given by its columns (row tuples skip the
-    entry checks of ``IntegerMatrix``)."""
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def _echelon_insert(echelon: list[tuple[int, list[int]]], v: list[int]) -> bool:
@@ -268,7 +264,8 @@ def is_virtually_unipotent_witness(gens: list[IntegerMatrix], cap: int) -> bool:
        unipotent.  N mod 3 is a 3-group, of order at most 3^(n(n-1)/2), and
        |G mod 3| <= [G : N] |N mod 3| <= B(n).
     3. K is generated by the Schreier generators s = w_x g w_(xg)^-1 over
-       the lifts w_x of the image (``modgrp._schreier_generators``), and it
+       the lifts w_x along a Schreier tree on the residues mod 3
+       (``modgrp._schreier_transversal``, ``_schreier_generators``), and it
        is unipotent iff W_0 = Q^n, W_(k+1) = sum_s (s - I) W_k reaches 0:
        Kolchin's flag contains the W_k, and conversely each s acts trivially
        on every W_k / W_(k+1), so s^-1 and every product do too.  The chain
@@ -294,21 +291,20 @@ def is_virtually_unipotent_witness(gens: list[IntegerMatrix], cap: int) -> bool:
             return False
     bound = _mod3_image_bound(n)
     try:
-        image = congruence_image(gens, 3, min(bound, cap), n=n)
+        size = congruence_image(gens, 3, min(bound, cap), n=n).size  # the packed image is dropped
     except ResourceError:
         if cap < bound:
             raise
         return False
-
-    def residues(w: tuple) -> tuple[int, ...]:
-        return tuple(x % 3 for row in w for x in row)
-
-    times = [partial(_times_columns, cols=tuple(zip(*g.entries))) for g in dict.fromkeys(gens)]
-    lifts = _transversal(IntegerMatrix.identity(n).entries, times, residues, image.size,
-                         "lifting the mod-3 image")
+    distinct = list(dict.fromkeys(gens))
+    residue_maps = [_right_multiplication(reduce(g, 3)) for g in distinct]
+    times = [partial(_times_columns, cols=tuple(zip(*g.entries))) for g in distinct]
+    eye = IntegerMatrix.identity(n)
+    lifts = _schreier_transversal(reduce(eye, 3).entries, eye.entries, residue_maps, times,
+                                  size, "lifting the mod-3 image")
     span, kept = [], []  # an echelon basis of the s - I, and those that enlarged it
     for s in _schreier_generators(
-        lifts, times, residues, _times_columns,
+        lifts, residue_maps, times, _times_columns,
         lambda w: tuple(zip(*IntegerMatrix(w).unimodular_inverse().entries)),  # w^-1 by columns
     ):
         x = [[a - (i == j) for j, a in enumerate(row)] for i, row in enumerate(s)]

@@ -26,9 +26,10 @@ conjugacy class (``ConjClass.orbit``) holds flat entry tuples (row-major
 residues in [0, m)), the body of the encoding above, because its
 conjugation maps act on tuples and packing each candidate costs more time
 than the class saves in memory.  ``ModMatrix`` objects are made only for
-single elements such as generators and representatives.  Subgroups,
-classes, crystallographic holonomy groups and the Schreier transversals of
-``_transversal`` are all built by the one breadth-first loop ``_closure``;
+single elements such as generators and representatives.  Subgroups and
+classes are built by the one breadth-first loop ``_closure``, and every
+Schreier transversal (crystallographic holonomy witnesses, the lifts of a
+level-1 or mod-3 image) by the Schreier tree of ``_schreier_transversal``;
 nothing outside this module reads either set directly.
 """
 
@@ -75,9 +76,9 @@ def _closure(start, maps, cap: int, what: str, stop=None, key=None) -> tuple[set
     ``key(y)`` for each element y instead of y (``stop`` is still tested on
     y).  ``generate`` packs subgroup elements this way, while the frontier
     keeps the entry tuples that its compiled right multiplications
-    (``_right_multiplication``) act on.  Orbits and holonomy groups
-    pass no key: an orbit packs one candidate per conjugation and unpacks
-    every element for its digest, so closing and digesting the 15,500
+    (``_right_multiplication``) act on.  Orbits pass no key: an orbit packs
+    one candidate per conjugation and unpacks every element for its
+    digest, so closing and digesting the 15,500
     elements of the m = 5 class of the 3-cycle took 87-90 ms packed
     against 45-50 ms as tuples (2 CPUs, Python 3.11.7).
 
@@ -108,46 +109,47 @@ def _closure(start, maps, cap: int, what: str, stop=None, key=None) -> tuple[set
     return seen, False
 
 
-class _Keyed:
-    """A closure element that compares and hashes by ``key_of(value)``."""
+def _schreier_transversal(start_key, start, key_maps, lift_maps, cap: int, what: str) -> dict:
+    """{key: lift} for the keys a breadth-first walk from ``start_key`` under
+    ``key_maps`` reaches (more than ``cap`` raise ResourceError), each lift
+    formed from ``start`` by the ``lift_maps`` along the walk's first path:
+    for the same right multiplications on a group and its image, a Schreier
+    transversal of the kernel (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, ch. 4).  The walk records each key's (parent
+    key, generator index), and then overwrites that in walk order by its
+    lift: one lift product per key, and one dict."""
+    tree = {start_key: None}
+    queue = [start_key]
+    for x in queue:  # the queue grows while it is read: breadth-first order
+        for i, f in enumerate(key_maps):
+            y = f(x)
+            if y not in tree:
+                tree[y] = (x, i)
+                if len(tree) > cap:
+                    raise ResourceError(
+                        f"element budget {cap} exceeded while {what}",
+                        partial_size=len(tree),
+                    )
+                queue.append(y)
+    for key, edge in tree.items():
+        tree[key] = start if edge is None else lift_maps[edge[1]](tree[edge[0]])
+    return tree
 
-    __slots__ = ("key", "value")
 
-    def __init__(self, value, key_of: Callable):
-        self.key = key_of(value)
-        self.value = value
-
-    def __eq__(self, other) -> bool:
-        return self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-
-def _transversal(start, maps, key_of: Callable, cap: int, what: str) -> dict:
-    """{key_of(x): x} for the first x per key that a breadth-first closure of
-    {start} under ``maps`` reaches; more than ``cap`` keys raise ResourceError.
-    For right multiplications by generators and a homomorphism ``key_of``,
-    this is a Schreier transversal of its kernel: holonomy witnesses (keyed
-    by holonomy part) and the lifts of a level-1 or mod-3 image (residues).
-    """
-    keyed = [lambda x, f=f: _Keyed(f(x.value), key_of) for f in maps]
-    tree, _ = _closure(_Keyed(start, key_of), keyed, cap, what)
-    return {x.key: x.value for x in tree}
-
-
-def _schreier_generators(lifts: dict, maps, key_of, times, inverse) -> Iterator:
-    """Each Schreier generator s = w_x g w_(xg)^(-1) != I of the kernel of
-    ``key_of``, as times(w_x g, inverse(w_(xg))), for the lifts w of
-    ``_transversal`` and the maps x -> x g.  A lift is inverted once, when
-    an s first needs it: <U> mod p inverts one lift, not p."""
+def _schreier_generators(lifts: dict, key_maps, lift_maps, times, inverse) -> Iterator:
+    """Each Schreier generator s = w_x g w_(xg)^(-1) != I of the kernel, as
+    times(w_x g, inverse(w_(xg))), over the lifts w of
+    ``_schreier_transversal`` in its order, with x g read off ``key_maps``
+    and w_x g formed by ``lift_maps``.  A lift is inverted once, when an s
+    first needs it: <U> mod p inverts one lift, not p."""
     inverses: dict = {}
-    for wg in (f(w) for w in lifts.values() for f in maps):
-        key = key_of(wg)
-        if wg != lifts[key]:
-            if key not in inverses:
-                inverses[key] = inverse(lifts[key])
-            yield times(wg, inverses[key])
+    for x, w in lifts.items():
+        for f, g in zip(key_maps, lift_maps):
+            key, wg = f(x), g(w)
+            if wg != lifts[key]:
+                if key not in inverses:
+                    inverses[key] = inverse(lifts[key])
+                yield times(wg, inverses[key])
 
 
 def _product(a: tuple[int, ...], b: tuple[int, ...], n: int, m: int) -> tuple[int, ...]:
@@ -779,12 +781,12 @@ def _kernel_basis(
 
     Layer L_i is the image of P & Gamma(p^i) in (M_n(F_p), +) under
     I + p^i X -> X mod p, so |G_K| = |G_1| p^(dim L_1 + ... + dim L_(K-1)).
-    The lifts are the first elements a closure of G_1 reaches per residue
-    mod p, a transversal of P, so P is generated by the Schreier generators
-    of ``_schreier_generators``, walked until ``_saturated``.  Each is
-    sifted; a nonzero residual becomes a basis element b of L_i, scaled to
-    1 at its pivot, and queues b^p and its commutators with the basis of
-    each L_j with i + j < N.  The basis is then closed under both, an
+    The lifts come from a Schreier tree of G_1 on residues mod p
+    (``_schreier_transversal``), a transversal of P, so P is generated by
+    the Schreier generators of ``_schreier_generators``, walked until
+    ``_saturated``.  Each is sifted; a nonzero residual becomes a basis
+    element b of L_i, scaled to 1 at its pivot, and queues b^p and its
+    commutators with the basis of each L_j with i + j < N.  The basis is then closed under both, an
     induced polycyclic sequence of P, and sifting decides membership in P
     (Holt, Eick and O'Brien, Handbook of Computational Group Theory, ch. 4
     and 8).
@@ -796,14 +798,15 @@ def _kernel_basis(
     raise ResourceError before any is sifted.
     """
     q = p**levels
-    identity = ModMatrix.identity(n, q).entries
     mul = partial(_product, n=n, m=q)
-
-    def residues(entries: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(e % p for e in entries)
-
-    multipliers = [_right_multiplication(g) for g in dict.fromkeys(reduce(g, q) for g in gens)]
-    lifts = _transversal(identity, multipliers, residues, cap, "lifting the level-1 image")
+    gens_q = list(dict.fromkeys(reduce(g, q) for g in gens))
+    multipliers = [_right_multiplication(g) for g in gens_q]
+    residue_maps = [_right_multiplication(ModMatrix._raw(n, p, tuple(e % p for e in g.entries)))
+                    for g in gens_q]
+    lifts = _schreier_transversal(
+        ModMatrix.identity(n, p).entries, ModMatrix.identity(n, q).entries,
+        residue_maps, multipliers, cap, "lifting the level-1 image",
+    )
     count = len(lifts) * len(multipliers)
     if count > cap:
         raise ResourceError(
@@ -832,7 +835,7 @@ def _kernel_basis(
                 )
             layers[i].append((pivot, [a * e % p for a in v], {1: b}, b_inv))
 
-    for s in _schreier_generators(lifts, multipliers, residues, mul,
+    for s in _schreier_generators(lifts, residue_maps, multipliers, mul,
                                   lambda w: ModMatrix._raw(n, q, w).inverse().entries):
         absorb(s)
         if _saturated(layers, n, p):

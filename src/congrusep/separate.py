@@ -37,7 +37,7 @@ from .errors import (
     PreconditionError,
     ScheduleExhaustedError,
 )
-from .exactlin import IntegerMatrix, RationalMatrix, det_int, factorize
+from .exactlin import IntegerMatrix, RationalMatrix, _int_text, det_int, factorize
 from .jordan import is_semisimple, torsion_order
 
 CERT_VERSION = 1
@@ -77,7 +77,7 @@ def _validate_schedule(schedule: Sequence[int]) -> list[int]:
 def _check_gl_generators(gens: Sequence[IntegerMatrix], n: int | None) -> int:
     for g in gens:
         if g.det() not in (1, -1):
-            raise PreconditionError(f"generator has det {g.det()}, not in GL(n,Z)")
+            raise PreconditionError(f"generator has det {_int_text(g.det())}, not in GL(n,Z)")
         if n is None:
             n = g.n
         elif g.n != n:
@@ -307,7 +307,7 @@ def avoid_conjugacy(
     """
     n = _check_gl_generators(gamma_gens, eta.n)
     if eta.det() not in (1, -1):
-        raise PreconditionError(f"eta has det {eta.det()}, not in GL(n,Z)")
+        raise PreconditionError(f"eta has det {_int_text(eta.det())}, not in GL(n,Z)")
     if not is_semisimple(eta.to_rational()):
         raise PreconditionError("eta is not semisimple")
     schedule = _validate_schedule(

@@ -122,6 +122,25 @@ def words_by_level(letters: list, depth: int, identity) -> set:
     return words
 
 
+def keyed_transversal(start, maps, key_of) -> dict:
+    """{key_of(x): x} for the first x per key that a breadth-first walk of
+    {start} under ``maps`` reaches, walking the values themselves and keying
+    each one (oracle: the walk a Schreier tree over the keys replaces)."""
+    first = {key_of(start): start}
+    level = [start]
+    while level:
+        reached = []
+        for x in level:
+            for f in maps:
+                y = f(x)
+                key = key_of(y)
+                if key not in first:
+                    first[key] = y
+                    reached.append(y)
+        level = reached
+    return first
+
+
 def bounded_words(gens: list[IntegerMatrix], wordlen: int) -> set[IntegerMatrix]:
     """Every distinct product of at most ``wordlen`` letters, the letters
     being gens and their inverses (oracle for the virtual-unipotency

@@ -123,6 +123,46 @@ def test_avoid_verify_only_semiprime_modulus_is_bounded(tmp_path):
     assert "cannot factor" in result.stderr
 
 
+def _fresh_cli(*args):
+    return subprocess.run([sys.executable, "-m", "congrusep.cli", *args],
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("entry", ["1e5000", "1e10000000"])
+def test_exponent_entries_exit_2_before_any_arithmetic(entry):
+    # Fraction would read these as 10^5000 and 10^10000000: the first has
+    # more digits than the interpreter prints, the second takes seconds
+    result = _fresh_cli("witness-prime", f'{{"n":1,"entries":[["{entry}"]]}}', "[]")
+    assert result.returncode == 2
+    assert "cannot parse exact entry" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_fraction_and_integer_entries_still_parse(capsys):
+    code, out, _ = run_cli(["jordan", '{"n":2,"entries":[["1/2",0],["-3",1]]}'], capsys)
+    assert code == 0
+    assert json.loads(out)["semisimple"]["entries"][0][0] == "1/2"
+
+
+def test_cannot_factor_a_cofactor_too_long_to_print():
+    # two 3,000-digit denominators, 7...7 and 9...97: their product is left
+    # unfactored, and has more digits than the interpreter prints
+    seven, nine = "7" * 3000, "9" * 2999 + "7"
+    factor = json.dumps({"n": 2, "entries": [["1/" + seven, "0"], ["0", "1/" + nine]]})
+    result = _fresh_cli("witness-prime", factor, "[]")
+    assert result.returncode == 4
+    assert "cannot factor a " in result.stderr and "-bit integer" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_eta_determinant_too_long_to_print_exits_3():
+    nines = "9" * 3000
+    eta = json.dumps({"n": 2, "entries": [[nines, "0"], ["0", nines]]})
+    result = _fresh_cli("avoid", U_GENS, eta)
+    assert result.returncode == 3
+    assert "eta has det a 19932-bit integer" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 ONE_GENS = '[{"n":1,"entries":[["1"]]}]'
 ONE_NEG = '{"n":1,"entries":[["-1"]]}'
 

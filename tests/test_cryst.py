@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from congrusep.jordan import jordan_decompose
 from congrusep import cryst, exactlin, separate
 from helpers import (
     kernel_and_image,
+    keyed_transversal,
     moving_projection,
     random_gl_element,
     signed_permutation_matrices,
@@ -117,12 +119,12 @@ def test_holonomy_of_f_m_elements_closes():
 def test_infinite_holonomy_closure_is_capped_at_f_m(monkeypatch):
     caps = []
 
-    def spy(start, maps, cap, what, **kwargs):
+    def spy(start_key, start, key_maps, lift_maps, cap, what):
         caps.append(cap)
-        return real_closure(start, maps, cap, what, **kwargs)
+        return real_tree(start_key, start, key_maps, lift_maps, cap, what)
 
-    real_closure = cryst._closure
-    monkeypatch.setattr(cryst, "_closure", spy)
+    real_tree = cryst._schreier_transversal
+    monkeypatch.setattr(cryst, "_schreier_transversal", spy)
     with pytest.raises(InputError, match="holonomy is not finite"):
         CrystGroup(
             m=2,
@@ -230,6 +232,25 @@ def test_witnesses_are_first_reached_words(make):
     assert set(first) == set(group.holonomy)
     for s, w in first.items():
         assert group.witness(s) == w
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([klein_bottle, p4_group, cubic_group, p6m_group]), st.data())
+def test_witnesses_equal_the_keyed_walk(make, data):
+    # the same group from a shuffled generating set with redundant products
+    # of two generators: every witness is the keyed walk's first element
+    base = make()
+    gens = list(base.generators)
+    extra = data.draw(st.lists(st.tuples(st.sampled_from(gens), st.sampled_from(gens)), max_size=2))
+    gens = data.draw(st.permutations(gens + [a.compose(b) for a, b in extra]))
+    group = CrystGroup(m=base.m, generators=gens, lattice=[list(row) for row in base.declared_lattice])
+    letters = dict.fromkeys(x for g in gens for x in (g, g.inverse()))
+    reference = keyed_transversal(
+        AffineElement.identity(group.m), [lambda x, a=a: x.compose(a) for a in letters],
+        attrgetter("S"),
+    )
+    assert set(reference) == set(group.holonomy) == set(base.holonomy)
+    assert all(group.witness(s) == w for s, w in reference.items())
 
 
 def test_translations_of_lower_rank_rejected():

@@ -216,6 +216,22 @@ def test_json_rejects_floats():
         RationalMatrix.from_json_dict({"n": 2, "entries": [[1.5, 0], [0, 1]]})
 
 
+@pytest.mark.parametrize("text, value", [
+    ("1/2", Fraction(1, 2)), ("-3", Fraction(-3)), ("+4/6", Fraction(2, 3)), ("007", Fraction(7)),
+])
+def test_string_entries_follow_the_sign_digits_slash_digits_grammar(text, value):
+    assert RationalMatrix.from_json_dict({"n": 1, "entries": [[text]]}).entries == ((value,),)
+
+
+@pytest.mark.parametrize("text", [
+    "1e5000", "1E2", "0.5", ".5", "1_000", " 1", "1 ", "1 / 2", "1/-2", "-", "1/", "/2", "",
+    "1/0", "١", "9" * 4301,
+])
+def test_string_entries_outside_the_grammar_are_refused(text):
+    with pytest.raises(InputError, match="cannot parse exact entry"):
+        RationalMatrix.from_json_dict({"n": 1, "entries": [[text]]})
+
+
 def test_integer_json_rejects_fractions():
     with pytest.raises(InputError):
         IntegerMatrix.from_json_dict({"n": 2, "entries": [["1/2", "0"], ["0", "1"]]})

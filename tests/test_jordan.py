@@ -552,9 +552,13 @@ def test_step_3_inverts_each_lift_at_most_once_and_only_when_used(monkeypatch, g
     def residues(w):
         return tuple(x % 3 for row in w for x in row)
 
+    distinct = list(dict.fromkeys(gens))
     times = [functools.partial(jordan._times_columns, cols=tuple(zip(*g.entries)))
-             for g in dict.fromkeys(gens)]
-    lifts = modgrp._transversal(IntegerMatrix.identity(n).entries, times, residues, CAP, "lifting")
+             for g in distinct]
+    residue_maps = [modgrp._right_multiplication(modgrp.reduce(g, 3)) for g in distinct]
+    eye = IntegerMatrix.identity(n)
+    lifts = modgrp._schreier_transversal(modgrp.reduce(eye, 3).entries, eye.entries,
+                                         residue_maps, times, CAP, "lifting")
     used = {residues(f(w)) for w in lifts.values() for f in times
             if f(w) != lifts[residues(f(w))]}
     monkeypatch.setattr(exactlin, "_adjugate_inverse", counted)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from congrusep import exactlin, modgrp
@@ -39,10 +39,13 @@ from helpers import (
     bounded_words,
     brute_force_closure,
     brute_force_gl,
+    elementary_generators,
+    keyed_transversal,
     leibniz_det,
     mat_mul_mod,
     principal_minor_sums,
     random_gl_element,
+    signed_permutation_matrices,
     traced_peak,
     words_by_level,
 )
@@ -53,6 +56,8 @@ NEG_I = IntegerMatrix([[-1, 0], [0, -1]])
 E12_3 = IntegerMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
 SHIFT3 = IntegerMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
 HEIS = [E12_3, IntegerMatrix([[1, 0, 0], [0, 1, 1], [0, 0, 1]])]
+SL3_PAIR = [IntegerMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]]),
+            IntegerMatrix([[1, 0, 0], [1, 1, 0], [0, 1, 1]])]
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +307,9 @@ def test_closure_to_a_depth_is_the_word_set(gens, depth):
     def residues(w):
         return tuple(x % 3 for row in w.entries for x in row)
 
-    lifts = modgrp._transversal(
-        eye, [lambda w, g=g: w * g for g in gens], residues, 10**6, "testing"
+    lifts = modgrp._schreier_transversal(
+        residues(eye), eye, [_right_multiplication(reduce(g, 3)) for g in gens],
+        [lambda w, g=g: w * g for g in gens], 10**6, "testing",
     )
     assert {residues(w) for w in words} <= lifts.keys()
     assert all(residues(w) == key for key, w in lifts.items())
@@ -318,6 +324,67 @@ def test_closure_past_its_diameter_is_the_whole_closure():
     eye = ModMatrix.identity(2, 3)
     assert {w.entries for w in words_by_level(letters, 100, eye)} == whole
     assert len(words_by_level(letters, 1, eye)) == 3
+
+
+def _tree_generators(n):
+    """Hypothesis: 1-3 generators of GL(n, Z), signed permutations or
+    elementary transvections, so that the images stay small."""
+    pool = signed_permutation_matrices(n) + elementary_generators(n)[:-1]
+    return st.lists(st.sampled_from(pool), min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 3]).flatmap(_tree_generators))
+def test_tree_lifts_over_z_equal_the_keyed_walk_mod_3(gens):
+    # the mod-3 setting of the virtual-unipotency decision: residue keys
+    # walked by compiled multiplications mod 3, lifts formed over Z
+    n = gens[0].n
+    try:
+        modgrp.congruence_image(gens, 3, 2000, n=n)
+    except ResourceError:
+        assume(False)
+    distinct = list(dict.fromkeys(gens))
+    eye = IntegerMatrix.identity(n)
+    lifts = modgrp._schreier_transversal(
+        reduce(eye, 3).entries, eye.entries,
+        [_right_multiplication(reduce(g, 3)) for g in distinct],
+        [functools.partial(exactlin._times_columns, cols=tuple(zip(*g.entries))) for g in distinct],
+        2000, "testing",
+    )
+    reference = keyed_transversal(
+        eye, [lambda w, g=g: w * g for g in distinct],
+        lambda w: tuple(x % 3 for row in w.entries for x in row),
+    )
+    assert lifts == {key: w.entries for key, w in reference.items()}
+    assert list(lifts) == list(reference)  # both in breadth-first order
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(_tree_generators),
+       st.sampled_from([2, 3, 5]), st.integers(1, 3))
+@example([U, L], 23, 4)  # 12,144 residue keys
+@example(SL3_PAIR, 3, 2)  # 5,616 residue keys
+def test_tree_lifts_mod_p_power_equal_the_keyed_walk(gens, p, levels):
+    # the layered kernel basis: residue keys mod p, lifts mod p^N
+    n, q = gens[0].n, p**levels
+    lifts, _ = modgrp._kernel_basis(gens, p, levels, modgrp.DEFAULT_CAP, n=n)
+    distinct = list(dict.fromkeys(reduce(g, q).entries for g in gens))
+    reference = keyed_transversal(
+        reduce(IntegerMatrix.identity(n), q).entries,
+        [lambda w, g=g: mat_mul_mod(w, g, n, q) for g in distinct],
+        lambda w: tuple(x % p for x in w),
+    )
+    assert lifts == reference
+    assert list(lifts) == list(reference)
+
+
+def test_tree_refuses_more_keys_than_its_cap():
+    maps = [_right_multiplication(reduce(g, 3)) for g in (U, L)]
+    start = reduce(IntegerMatrix.identity(2), 3).entries
+    assert len(modgrp._schreier_transversal(start, start, maps, maps, 24, "testing")) == 24
+    with pytest.raises(ResourceError, match="budget 23 exceeded while testing") as info:
+        modgrp._schreier_transversal(start, start, maps, maps, 23, "testing")
+    assert info.value.partial_size == 24
 
 
 # ---------------------------------------------------------------------------
