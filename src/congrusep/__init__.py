@@ -41,7 +41,6 @@ from .modgrp import (
     ModMatrixGroup,
     conj_class,
     generate,
-    gl_generators,
     padic_level_image,
     reduce,
 )

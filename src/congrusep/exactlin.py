@@ -22,7 +22,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BitBoundExceededError,
@@ -187,7 +187,12 @@ def factorize(x: int) -> list[tuple[int, int]]:
     large primes, or a cofactor beyond the deterministic range) raises
     ResourceError, so the cost is bounded for every x.
     """
-    out = []
+    return list(_prime_factors(x))
+
+
+def _prime_factors(x: int) -> Iterator[tuple[int, int]]:
+    """The pairs of ``factorize``, each yielded as soon as it is found, so a
+    caller that needs only the least prime never meets the cofactor."""
     p = 2
     while p * p <= x:
         if p > _TRIAL_DIVISION_BOUND:
@@ -202,11 +207,10 @@ def factorize(x: int) -> list[tuple[int, int]]:
             while x % p == 0:
                 x //= p
                 e += 1
-            out.append((p, e))
+            yield p, e
         p += 1 if p == 2 else 2
     if x > 1:
-        out.append((x, 1))
-    return out
+        yield x, 1
 
 
 class _ExactMatrix:

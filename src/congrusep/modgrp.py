@@ -517,32 +517,6 @@ def unit_group_generators(m: int) -> list[int]:
     return out
 
 
-def gl_generators(n: int, m: int) -> list[ModMatrix]:
-    """A generating set of GL(n, Z/m): the transvection E_01(1), the
-    permutation matrix of the cycle (0 1 ... n-1), and diag(u,1,...,1) for
-    one unit u per cyclic factor of (Z/m)^*.
-
-    Conjugating E_01(1) by powers of the cycle gives every E_i,i+1(1) (the
-    index mod n), and their commutators give every other E_ij(1), which
-    together generate SL(n, Z/m); the diagonal units give every determinant.
-    """
-    if n < 1:
-        raise InputError("dimension must be positive")
-    identity = [int(a == b) for a in range(n) for b in range(n)]
-    gens: list[ModMatrix] = []
-    if n > 1:
-        entries = list(identity)
-        entries[1] = 1
-        gens.append(ModMatrix(n, m, entries))
-        cycle = [int(b == (a + 1) % n) for a in range(n) for b in range(n)]
-        gens.append(ModMatrix(n, m, cycle))
-    for u in unit_group_generators(m):
-        entries = list(identity)
-        entries[0] = u
-        gens.append(ModMatrix(n, m, entries))
-    return gens
-
-
 def gl_order(n: int, m: int) -> int:
     """|GL(n, Z/m)| by the standard prime-power formula."""
     total = 1
@@ -592,32 +566,27 @@ class ConjClass:
         return [_rows(x, self.n) for x in sorted(self.orbit)]
 
 
-def _conjugation_by(t: ModMatrix) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """The map x -> t^(-1) x t on flat entry tuples, for a generator t from
-    ``gl_generators``.
+def _gl_conjugations(n: int, m: int) -> list[Callable[[tuple[int, ...]], tuple[int, ...]]]:
+    """The maps x -> t^(-1) x t on flat entry tuples, for t running over a
+    generating set of GL(n, Z/m): the transvection E_01(1), the permutation
+    matrix of the cycle (0 1 ... n-1), and diag(u, 1, ..., 1) for one unit u
+    per cyclic factor of (Z/m)^*, in that order.
 
-    A permutation matrix t with t[r(j)][j] = 1 permutes the entries: the
-    conjugate has (i, j) entry x[r(i)][r(j)], one ``itemgetter`` call.
-    Every other generator differs from the identity in one entry (i, j).
-    For a transvection E_ij(1) the conjugate is x with column i added to
-    column j, then row j subtracted from row i; for diag(u, 1, ...) it is x
-    with column i scaled by u and row i by u^(-1).  Either way O(n) entry
-    operations mod m, never a matrix product.
+    Conjugating E_01(1) by powers of the cycle gives every E_i,i+1(1) (the
+    index mod n), and their commutators give every other E_ij(1), which
+    together generate SL(n, Z/m); the diagonal units give every determinant.
+
+    Each map is built from (n, m) alone, with no matrix formed.  Conjugation
+    by E_01(1) adds column 0 to column 1, then subtracts row 1 from row 0;
+    by the cycle it takes entry (i, j) from ((i-1) mod n, (j-1) mod n), one
+    ``itemgetter`` call; by diag(u, 1, ...) it scales column 0 by u and row
+    0 by u^(-1), the corner left as it is.  Either way O(n) entry operations
+    mod m, never a matrix product.
     """
-    n, m = t.n, t.m
-    rows = t.to_lists()
-    if n > 1 and all(sorted(row) == [0] * (n - 1) + [1] for row in rows):
-        # one 1 per row, in distinct columns because t is invertible
-        r = [0] * n
-        for i, row in enumerate(rows):
-            r[row.index(1)] = i
-        return itemgetter(*(r[i] * n + r[j] for i in range(n) for j in range(n)))
-    identity = ModMatrix.identity(n, m).entries
-    ((k, a),) = [(k, v) for k, v in enumerate(t.entries) if v != identity[k]]
-    i, j = divmod(k, n)
-    if i != j:
-        cols = tuple((r * n + j, r * n + i) for r in range(n))
-        rows = tuple((i * n + c, j * n + c) for c in range(n))
+    maps: list[Callable[[tuple[int, ...]], tuple[int, ...]]] = []
+    if n > 1:
+        cols = tuple((r * n + 1, r * n) for r in range(n))
+        rows = tuple((c, n + c) for c in range(n))
 
         def transvect(x: tuple[int, ...]) -> tuple[int, ...]:
             y = list(x)
@@ -627,45 +596,54 @@ def _conjugation_by(t: ModMatrix) -> Callable[[tuple[int, ...]], tuple[int, ...]
                 y[dst] = (y[dst] - y[src]) % m
             return tuple(y)
 
-        return transvect
-    a_inv = pow(a, -1, m)
-    col = tuple(r * n + i for r in range(n) if r != i)
-    row = tuple(i * n + c for c in range(n) if c != i)
+        maps.append(transvect)
+        maps.append(
+            itemgetter(*((i - 1) % n * n + (j - 1) % n for i in range(n) for j in range(n)))
+        )
+    col = tuple(range(n, n * n, n))  # column 0 below the corner
+    row = tuple(range(1, n))  # row 0 right of the corner
 
-    def scale(x: tuple[int, ...]) -> tuple[int, ...]:
-        y = list(x)
-        for dst in col:
-            y[dst] = y[dst] * a % m
-        for dst in row:
-            y[dst] = y[dst] * a_inv % m
-        return tuple(y)
+    def scale_by(u: int) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+        u_inv = pow(u, -1, m)
 
-    return scale
+        def scale(x: tuple[int, ...]) -> tuple[int, ...]:
+            y = list(x)
+            for dst in col:
+                y[dst] = y[dst] * u % m
+            for dst in row:
+                y[dst] = y[dst] * u_inv % m
+            return tuple(y)
+
+        return scale
+
+    maps += [scale_by(u) for u in unit_group_generators(m)]
+    return maps
 
 
 def _orbit_expand(
     rep: ModMatrix, cap: int, stop_inside: frozenset[tuple[int, ...]] | None = None
 ) -> tuple[set[tuple[int, ...]], bool]:
-    """BFS conjugation orbit of rep, as entry tuples, under x -> t^(-1) x t
-    for t in ``gl_generators``.  With ``stop_inside`` (a set of entry
-    tuples) given, aborts as soon as an orbit element lies in that set,
-    returning (partial, True).
+    """BFS conjugation orbit of rep, as entry tuples, under the conjugations
+    of ``_gl_conjugations``.  With ``stop_inside`` (a set of entry tuples)
+    given, aborts as soon as an orbit element lies in that set, returning
+    (partial, True).
 
     Forward generators suffice, as in ``generate``: the monoid of these
     conjugations is all of GL(n, Z/m).  Each conjugation permutes the entry
-    tuple or is a row and a column operation on it (``_conjugation_by``), so
-    no t^(-1) is ever formed and no matrix is multiplied.
+    tuple or is a row and a column operation on it, so no t^(-1) is ever
+    formed and no matrix is multiplied.
     """
-    conjugations = [_conjugation_by(t) for t in gl_generators(rep.n, rep.m)]
+    conjugations = _gl_conjugations(rep.n, rep.m)
     return _closure(rep.entries, conjugations, cap, "expanding orbit", stop_inside)
 
 
 def conj_class(rep: ModMatrix, cap: int = DEFAULT_CAP) -> ConjClass:
     """Orbit of ``rep`` under conjugation by all of GL(n, Z/m).
 
-    Computed as the closure under conjugation by the fixed generating set
-    ``gl_generators(n, m)`` alone, with no inverse conjugators: the group is
-    finite, so closing under forward generators reaches every element.  Each
+    Computed as the closure under the conjugations by a fixed generating
+    set, ``_gl_conjugations(n, m)``, alone, with no inverse conjugators: the
+    group is finite, so closing under forward generators reaches every
+    element.  Each
     conjugation by a generator permutes the entries (a permutation matrix)
     or is one row and one column operation on them (a transvection adds a
     column and subtracts a row; a diagonal unit scales a column and a row),

@@ -23,8 +23,11 @@ infinite-order semisimple element) can legitimately exhaust any schedule.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 import json
+import typing
 from dataclasses import dataclass
 from math import lcm, prod
 from operator import itemgetter, mul
@@ -37,7 +40,14 @@ from .errors import (
     PreconditionError,
     ScheduleExhaustedError,
 )
-from .exactlin import IntegerMatrix, RationalMatrix, _int_text, det_int, factorize
+from .exactlin import (
+    IntegerMatrix,
+    RationalMatrix,
+    _int_text,
+    _prime_factors,
+    det_int,
+    factorize,
+)
 from .jordan import is_semisimple, torsion_order
 
 CERT_VERSION = 1
@@ -92,11 +102,66 @@ def _check_gl_generators(gens: Sequence[IntegerMatrix], n: int | None) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Record:
+    """Base of the JSON records below: the dataclass fields are the schema.
+
+    Each field is written under its own name, a value with ``to_json_dict``
+    through that method and a tuple as an array.  A certificate kind adds
+    ``version`` and ``kind`` from its ``_KIND``, a constant left
+    un-annotated so that it is no field.  The reader reads each field by its
+    declared type: int, str and bool as exactly that JSON type (``_typed``),
+    ``tuple[X, ...]`` as a JSON array of X, any other type through its
+    ``from_json_dict``; a missing field with a default takes the default.
+    Keys outside the schema are ignored.
+    """
+
+    _KIND = None
+
+    def to_json_dict(self) -> dict:
+        data = {} if self._KIND is None else {"version": CERT_VERSION, "kind": self._KIND}
+        for name, _, _ in _schema(type(self)):
+            data[name] = _json_value(getattr(self, name))
+        return data
+
+    @classmethod
+    def from_json_dict(cls, data: dict):
+        values = {}
+        for name, kind, default in _schema(cls):
+            value = data[name] if default is dataclasses.MISSING or name in data else default
+            values[name] = _read_field(value, kind, name)
+        return cls(**values)
+
+
+@functools.cache
+def _schema(cls: type) -> tuple[tuple[str, object, object], ...]:
+    """(name, resolved type, default) of each field of a record class,
+    resolved once per class: the annotations are strings until then."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name], f.default) for f in dataclasses.fields(cls))
+
+
+def _json_value(value):
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    return value.to_json_dict() if hasattr(value, "to_json_dict") else value
+
+
+def _read_field(value, kind, name: str):
+    if kind in (int, str, bool):
+        return _typed(value, kind, name)
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return tuple(_read_field(v, item, name) for v in _typed(value, list, name))
+    return kind.from_json_dict(value)
+
+
 @dataclass(frozen=True)
-class SeparationCertificate:
+class SeparationCertificate(_Record):
     """Witness that the mod-m image of <gamma_gens> misses the mod-m class
     of eta, so the congruence subgroup at m contains the group and is
     disjoint from eta's integral conjugacy class."""
+
+    _KIND = "separation"
 
     n: int
     m: int
@@ -108,24 +173,9 @@ class SeparationCertificate:
     class_digest: str
     disjoint: bool = True
 
-    def to_json_dict(self) -> dict:
-        return {
-            "version": CERT_VERSION,
-            "kind": "separation",
-            "n": self.n,
-            "m": self.m,
-            "gamma_gens": [g.to_json_dict() for g in self.gamma_gens],
-            "eta": self.eta.to_json_dict(),
-            "image_size": self.image_size,
-            "class_size": self.class_size,
-            "image_digest": self.image_digest,
-            "class_digest": self.class_digest,
-            "disjoint": self.disjoint,
-        }
-
 
 @dataclass(frozen=True)
-class RepEvidence:
+class RepEvidence(_Record):
     """Per-representative disjointness record inside a torsion-free
     certificate.
 
@@ -143,19 +193,9 @@ class RepEvidence:
     class_digest: str
     disjoint: bool = True
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rep": self.rep.to_json_dict(),
-            "order": self.order,
-            "modulus": self.modulus,
-            "class_size": self.class_size,
-            "class_digest": self.class_digest,
-            "disjoint": self.disjoint,
-        }
-
 
 @dataclass(frozen=True)
-class TorsionFreeCertificate:
+class TorsionFreeCertificate(_Record):
     """Witness that the congruence subgroup at m contains <gamma_gens> and
     avoids every nontrivial torsion class of the recorded table.
 
@@ -164,6 +204,8 @@ class TorsionFreeCertificate:
     listed but carry no evidence, since the trivial class lies in every
     congruence image and does not obstruct torsion-freeness.
     """
+
+    _KIND = "torsion-free"
 
     n: int
     m: int
@@ -174,23 +216,9 @@ class TorsionFreeCertificate:
     per_rep: tuple[RepEvidence, ...]
     table_version: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "version": CERT_VERSION,
-            "kind": "torsion-free",
-            "n": self.n,
-            "m": self.m,
-            "gamma_gens": [g.to_json_dict() for g in self.gamma_gens],
-            "torsion_reps": [r.to_json_dict() for r in self.torsion_reps],
-            "image_size": self.image_size,
-            "image_digest": self.image_digest,
-            "per_rep": [e.to_json_dict() for e in self.per_rep],
-            "table_version": self.table_version,
-        }
-
 
 @dataclass(frozen=True)
-class WitnessPrime:
+class WitnessPrime(_Record):
     """A prime at which a semisimple factor escapes the group's closure.
 
     ``reason`` is "denominator" (p divides an entry denominator; level is 0,
@@ -203,13 +231,8 @@ class WitnessPrime:
     level: int
     reason: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "factor": self.factor.to_json_dict(),
-            "prime": self.prime,
-            "level": self.level,
-            "reason": self.reason,
-        }
+
+_CERTIFICATE_KINDS = {cls._KIND: cls for cls in (SeparationCertificate, TorsionFreeCertificate)}
 
 
 def canonical_json(data) -> str:
@@ -368,7 +391,8 @@ def witness_prime(
             raise InputError(f"{p} is not prime")
     denom = factor.denominator_lcm()
     if denom > 1:
-        p = factorize(denom)[0][0]
+        # the least prime only: a cofactor past trial division is never reached
+        p, _ = next(_prime_factors(denom))
         return WitnessPrime(factor=factor, prime=p, level=0, reason="denominator")
     n = factor.n
     _check_gl_generators(gamma_gens, n)
@@ -511,53 +535,18 @@ def parse_certificate(
     if isinstance(data, (str, bytes)):
         data = _decode_json(data, MalformedCertificateError, "certificate is not valid JSON")
     _require(isinstance(data, dict), "certificate must be a JSON object")
-    _require(data.get("version") == CERT_VERSION, "unsupported certificate version")
-    kind = data.get("kind")
-    _require(kind in ("separation", "torsion-free"), f"unknown certificate kind {kind!r}")
+    version = _typed(data.get("version"), int, "version")
+    _require(version == CERT_VERSION, "unsupported certificate version")
+    # a string before the lookup: a list or an object kind is unhashable
+    kind = _typed(data.get("kind"), str, "kind")
+    _require(kind in _CERTIFICATE_KINDS, f"unknown certificate kind {kind!r}")
     try:
-        n = _typed(data["n"], int, "n")
-        m = _typed(data["m"], int, "m")
-        gens = tuple(IntegerMatrix.from_json_dict(g) for g in data["gamma_gens"])
-        _require(n >= 1, "n must be a positive integer")
-        _require(m >= 2, "m must be an integer >= 2")
-        if kind == "separation":
-            cert: SeparationCertificate | TorsionFreeCertificate = SeparationCertificate(
-                n=n,
-                m=m,
-                gamma_gens=gens,
-                eta=IntegerMatrix.from_json_dict(data["eta"]),
-                image_size=_typed(data["image_size"], int, "image_size"),
-                class_size=_typed(data["class_size"], int, "class_size"),
-                image_digest=_typed(data["image_digest"], str, "image_digest"),
-                class_digest=_typed(data["class_digest"], str, "class_digest"),
-                disjoint=_typed(data.get("disjoint", True), bool, "disjoint"),
-            )
-        else:
-            per_rep = tuple(
-                RepEvidence(
-                    rep=IntegerMatrix.from_json_dict(e["rep"]),
-                    order=_typed(e["order"], int, "order"),
-                    modulus=_typed(e["modulus"], int, "modulus"),
-                    class_size=_typed(e["class_size"], int, "class_size"),
-                    class_digest=_typed(e["class_digest"], str, "class_digest"),
-                    disjoint=_typed(e.get("disjoint", True), bool, "disjoint"),
-                )
-                for e in data["per_rep"]
-            )
-            cert = TorsionFreeCertificate(
-                n=n,
-                m=m,
-                gamma_gens=gens,
-                torsion_reps=tuple(
-                    IntegerMatrix.from_json_dict(r) for r in data["torsion_reps"]
-                ),
-                image_size=_typed(data["image_size"], int, "image_size"),
-                image_digest=_typed(data["image_digest"], str, "image_digest"),
-                per_rep=per_rep,
-                table_version=_typed(data["table_version"], str, "table_version"),
-            )
+        cert = _CERTIFICATE_KINDS[kind].from_json_dict(data)
     except (KeyError, TypeError, InputError) as exc:
         raise MalformedCertificateError(f"certificate schema violation: {exc}") from exc
+    n = cert.n
+    _require(n >= 1, "n must be a positive integer")
+    _require(cert.m >= 2, "m must be an integer >= 2")
     for g in cert.gamma_gens:
         _require(g.n == n, "generator dimension disagrees with n")
     if isinstance(cert, SeparationCertificate):
@@ -712,18 +701,14 @@ _BUILTIN_TABLES = {
 def torsion_class_table(n: int) -> TorsionTable:
     """Built-in torsion class representatives for GL(n,Z), n in {1, 2, 3}.
 
-    Each entry's finite order is re-verified at load time.
+    Orders are not derived here: every consumer derives each entry's order
+    itself (``torsion_free_overgroup``, ``validate_torsion_table`` and
+    certificate verification).
     """
     if n not in _BUILTIN_TABLES:
         raise InputError(f"no builtin torsion table for dimension {n}")
     version, raw = _BUILTIN_TABLES[n]
-    entries = []
-    for rows in raw:
-        mat = IntegerMatrix(rows)
-        if torsion_order(mat) is None:
-            raise AssertionError("builtin table entry has infinite order")
-        entries.append(mat)
-    return TorsionTable(n=n, version=version, entries=tuple(entries))
+    return TorsionTable(n=n, version=version, entries=tuple(IntegerMatrix(rows) for rows in raw))
 
 
 def _box_symmetries(n: int) -> list[tuple[itemgetter, tuple[int, ...]]]:

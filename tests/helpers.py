@@ -67,6 +67,27 @@ def unimodular_box(n: int, bound: int) -> list[IntegerMatrix]:
     return out
 
 
+def gl_generators(n: int, m: int) -> list[modgrp.ModMatrix]:
+    """The generating set of GL(n, Z/m) whose conjugations
+    ``modgrp._gl_conjugations`` builds, as matrices and in its order: the
+    transvection E_01(1), the permutation matrix of the cycle
+    (0 1 ... n-1), and diag(u, 1, ..., 1) for each u of
+    ``modgrp.unit_group_generators(m)``."""
+    identity = [int(a == b) for a in range(n) for b in range(n)]
+    gens = []
+    if n > 1:
+        entries = list(identity)
+        entries[1] = 1
+        gens.append(modgrp.ModMatrix(n, m, entries))
+        cycle = [int(b == (a + 1) % n) for a in range(n) for b in range(n)]
+        gens.append(modgrp.ModMatrix(n, m, cycle))
+    for u in modgrp.unit_group_generators(m):
+        entries = list(identity)
+        entries[0] = u
+        gens.append(modgrp.ModMatrix(n, m, entries))
+    return gens
+
+
 def mat_mul_mod(a: tuple, b: tuple, n: int, m: int) -> tuple:
     """Independent mod-m multiply on flat tuples (oracle-side arithmetic)."""
     return tuple(

@@ -144,14 +144,27 @@ def test_fraction_and_integer_entries_still_parse(capsys):
 
 
 def test_cannot_factor_a_cofactor_too_long_to_print():
-    # two 3,000-digit denominators, 7...7 and 9...97: their product is left
-    # unfactored, and has more digits than the interpreter prints
+    # the Mersenne primes 2^9689 - 1 and 2^9941 - 1 as denominators (2,917
+    # and 2,993 digits): their product has no prime factor that trial
+    # division reaches, and more digits than the interpreter prints
+    a, b = str(2**9689 - 1), str(2**9941 - 1)
+    factor = json.dumps({"n": 2, "entries": [["1/" + a, "0"], ["0", "1/" + b]]})
+    result = _fresh_cli("witness-prime", factor, "[]")
+    assert result.returncode == 4
+    assert "cannot factor a 19630-bit integer" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_denominator_witness_needs_only_the_least_prime():
+    # two 3,000-digit denominators, 7...7 and 9...97: 3 divides 7...7, so
+    # the cofactor of their lcm, which trial division cannot factor, is
+    # never reached
     seven, nine = "7" * 3000, "9" * 2999 + "7"
     factor = json.dumps({"n": 2, "entries": [["1/" + seven, "0"], ["0", "1/" + nine]]})
     result = _fresh_cli("witness-prime", factor, "[]")
-    assert result.returncode == 4
-    assert "cannot factor a " in result.stderr and "-bit integer" in result.stderr
-    assert "Traceback" not in result.stderr
+    assert result.returncode == 0, result.stderr
+    data = json.loads(result.stdout)
+    assert (data["prime"], data["level"], data["reason"]) == (3, 0, "denominator")
 
 
 def test_eta_determinant_too_long_to_print_exits_3():

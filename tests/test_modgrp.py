@@ -18,7 +18,7 @@ from congrusep.errors import (
 from congrusep.exactlin import IntegerMatrix, RationalMatrix
 from congrusep.modgrp import (
     DenominatorNotUnitError,
-    _conjugation_by,
+    _gl_conjugations,
     _orbit_expand,
     _pack,
     _right_multiplication,
@@ -28,7 +28,6 @@ from congrusep.modgrp import (
     conj_class,
     elements_digest,
     generate,
-    gl_generators,
     gl_order,
     is_conjugate_mod,
     padic_level_image,
@@ -40,6 +39,7 @@ from helpers import (
     brute_force_closure,
     brute_force_gl,
     elementary_generators,
+    gl_generators,
     keyed_transversal,
     leibniz_det,
     mat_mul_mod,
@@ -483,8 +483,11 @@ def test_conjugation_maps_match_matrix_conjugation(case):
         x = ModMatrix(n, m, flat)
     except PreconditionError:
         assume(False)
-    for t in gl_generators(n, m):
-        assert _conjugation_by(t)(x.entries) == (t.inverse() * x * t).entries
+    ts = gl_generators(n, m)
+    maps = _gl_conjugations(n, m)
+    assert len(maps) == len(ts)
+    for conjugate, t in zip(maps, ts):
+        assert conjugate(x.entries) == (t.inverse() * x * t).entries
 
 
 def test_orbit_stabilizer_exact_n3():

@@ -921,6 +921,22 @@ def test_roundtrip_torsion_free():
     assert verify_certificate(text)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: avoid_conjugacy([U], NEG_I),
+    lambda: torsion_free_overgroup([U], torsion_class_table(2)),
+    lambda: torsion_free_overgroup(klein_bottle_lift(), torsion_class_table(3)),
+], ids=["separation", "torsion-free-n2", "torsion-free-klein-n3"])
+def test_parse_inverts_dump(build):
+    cert = build()
+    text = dump_certificate(cert)
+    assert parse_certificate(text) == cert
+    # a missing disjoint, in the certificate or in its evidence, reads as true
+    data = json.loads(text)
+    for record in [data] if "disjoint" in data else data["per_rep"]:
+        del record["disjoint"]
+    assert parse_certificate(data) == cert
+
+
 def test_dump_deterministic():
     a = dump_certificate(avoid_conjugacy([U], NEG_I))
     b = dump_certificate(avoid_conjugacy([U], NEG_I))
@@ -1043,6 +1059,13 @@ def test_verify_resists_field_mutations():
         ("image_size", "2"),
         ("class_digest", None),
         ("disjoint", 1),
+        ("version", True),
+        ("version", 1.0),
+        ("kind", []),
+        ("kind", {}),
+        # an empty string or object once read as an empty list of generators
+        ("gamma_gens", ""),
+        ("gamma_gens", {}),
     ]
     for key, value in mistyped:
         data = dict(base)
