@@ -24,20 +24,21 @@ the mixed-radix-m number of its row-major residues (``_pack``): it is the
 largest set the program builds, and an int costs about half a tuple.  A
 conjugacy class (``ConjClass.orbit``) holds flat entry tuples (row-major
 residues in [0, m)), the body of the encoding above, because its
-conjugation maps act on tuples and packing each candidate costs more time
-than the class saves in memory.  ``ModMatrix`` objects are made only for
-single elements such as generators and representatives.  Subgroups and
-classes are built by the one breadth-first loop ``_closure``, and every
-Schreier transversal (crystallographic holonomy witnesses, the lifts of a
-level-1 or mod-3 image) by the Schreier tree of ``_schreier_transversal``;
-nothing outside this module reads either set directly.
+conjugation maps, compiled once per (n, m), act on tuples and packing each
+candidate costs more time than the class saves in memory.  ``ModMatrix``
+objects are made only for single elements such as generators and
+representatives.  Subgroups and classes are built by the one breadth-first
+loop ``_closure``, and every Schreier transversal (crystallographic
+holonomy witnesses, the lifts of a level-1 or mod-3 image) by the Schreier
+tree of ``_schreier_transversal``; nothing outside this module reads
+either set directly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-from functools import partial
+from functools import lru_cache, partial
 from math import gcd
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -78,9 +79,10 @@ def _closure(start, maps, cap: int, what: str, stop=None, key=None) -> tuple[set
     keeps the entry tuples that its compiled right multiplications
     (``_right_multiplication``) act on.  Orbits pass no key: an orbit packs
     one candidate per conjugation and unpacks every element for its
-    digest, so closing and digesting the 15,500
-    elements of the m = 5 class of the 3-cycle took 87-90 ms packed
-    against 45-50 ms as tuples (2 CPUs, Python 3.11.7).
+    digest, so closing and digesting the 15,500 elements of the m = 5
+    class of the 3-cycle under the compiled conjugations of
+    ``_gl_conjugations`` took 76-84 ms packed against 33-36 ms as tuples
+    (2 CPUs, Python 3.11.7).
 
     The set is returned as built, not copied: a frozen copy would double
     the hash table at the peak.  Callers never mutate it.
@@ -304,9 +306,9 @@ class ModMatrix:
 def elements_digest(n: int, m: int, elements: Iterable[tuple[int, ...]]) -> str:
     """Order-independent SHA-256 digest of a set of entry tuples of
     GL(n, Z/m): the newline-joined sorted encodings ``n:m:e00,e01,...``."""
-    encode = (f"{n}:{m}:" + ",".join(["{}"] * (n * n))).format
+    encode = (f"{n}:{m}:" + ",".join(["%d"] * (n * n))).__mod__
     # ASCII text sorts as its bytes do
-    body = "\n".join(sorted(encode(*x) for x in elements))
+    body = "\n".join(sorted(map(encode, elements)))
     return hashlib.sha256(body.encode("ascii")).hexdigest()
 
 
@@ -566,7 +568,32 @@ class ConjClass:
         return [_rows(x, self.n) for x in sorted(self.orbit)]
 
 
-def _gl_conjugations(n: int, m: int) -> list[Callable[[tuple[int, ...]], tuple[int, ...]]]:
+#: Most (n, m) pairs whose compiled conjugations ``_gl_conjugations`` keeps.
+_CONJUGATIONS_KEPT = 32
+
+
+def _compile_linear(
+    forms: list[list[tuple[int, int]]], m: int
+) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The map x -> y on flat entry tuples with y[k] the sum of c x[i] mod m
+    over the pairs (i, c) of forms[k], compiled into one straight-line tuple
+    expression; an entry whose one pair is (i, 1) is the copy x[i].  The
+    source holds integer literals alone, each formatted with ``%d``."""
+    parts = []
+    for form in forms:
+        if len(form) == 1 and form[0][1] == 1:
+            parts.append("x[%d]" % form[0][0])
+            continue
+        terms = "".join(
+            "+x[%d]" % i if c == 1 else "-x[%d]" % i if c == -1 else "+x[%d]*%d" % (i, c)
+            for i, c in form
+        )
+        parts.append("(%s)%%%d" % (terms.lstrip("+"), m))
+    return eval("lambda x: (%s,)" % ",".join(parts), {"__builtins__": {}})
+
+
+@lru_cache(maxsize=_CONJUGATIONS_KEPT)
+def _gl_conjugations(n: int, m: int) -> tuple[Callable[[tuple[int, ...]], tuple[int, ...]], ...]:
     """The maps x -> t^(-1) x t on flat entry tuples, for t running over a
     generating set of GL(n, Z/m): the transvection E_01(1), the permutation
     matrix of the cycle (0 1 ... n-1), and diag(u, 1, ..., 1) for one unit u
@@ -578,46 +605,34 @@ def _gl_conjugations(n: int, m: int) -> list[Callable[[tuple[int, ...]], tuple[i
 
     Each map is built from (n, m) alone, with no matrix formed.  Conjugation
     by E_01(1) adds column 0 to column 1, then subtracts row 1 from row 0;
-    by the cycle it takes entry (i, j) from ((i-1) mod n, (j-1) mod n), one
-    ``itemgetter`` call; by diag(u, 1, ...) it scales column 0 by u and row
-    0 by u^(-1), the corner left as it is.  Either way O(n) entry operations
-    mod m, never a matrix product.
+    by diag(u, 1, ...) it scales column 0 by u and row 0 by u^(-1), the
+    corner left as it is.  Both are compiled by ``_compile_linear`` into one
+    tuple expression over the O(n) changed entries and the copied rest.  By
+    the cycle it takes entry (i, j) from ((i-1) mod n, (j-1) mod n), one
+    ``itemgetter`` call.  The maps of the last ``_CONJUGATIONS_KEPT`` pairs
+    (n, m) are kept, so an orbit compiles nothing that an earlier orbit at
+    its (n, m) compiled.
     """
-    maps: list[Callable[[tuple[int, ...]], tuple[int, ...]]] = []
+    m = int(m)
+    maps = []
     if n > 1:
-        cols = tuple((r * n + 1, r * n) for r in range(n))
-        rows = tuple((c, n + c) for c in range(n))
-
-        def transvect(x: tuple[int, ...]) -> tuple[int, ...]:
-            y = list(x)
-            for dst, src in cols:
-                y[dst] = (y[dst] + y[src]) % m
-            for dst, src in rows:
-                y[dst] = (y[dst] - y[src]) % m
-            return tuple(y)
-
-        maps.append(transvect)
+        forms = [[(k, 1)] for k in range(n * n)]
+        for r in range(0, n * n, n):
+            forms[r + 1] = forms[r + 1] + [(r, 1)]
+        for c in range(n):
+            forms[c] = forms[c] + [(k, -a) for k, a in forms[n + c]]
+        maps.append(_compile_linear(forms, m))
         maps.append(
             itemgetter(*((i - 1) % n * n + (j - 1) % n for i in range(n) for j in range(n)))
         )
-    col = tuple(range(n, n * n, n))  # column 0 below the corner
-    row = tuple(range(1, n))  # row 0 right of the corner
-
-    def scale_by(u: int) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    for u in unit_group_generators(m):
         u_inv = pow(u, -1, m)
-
-        def scale(x: tuple[int, ...]) -> tuple[int, ...]:
-            y = list(x)
-            for dst in col:
-                y[dst] = y[dst] * u % m
-            for dst in row:
-                y[dst] = y[dst] * u_inv % m
-            return tuple(y)
-
-        return scale
-
-    maps += [scale_by(u) for u in unit_group_generators(m)]
-    return maps
+        forms = [[(k, 1)] for k in range(n * n)]
+        for k in range(1, n):
+            forms[k * n] = [(k * n, u)]  # column 0 below the corner
+            forms[k] = [(k, u_inv)]  # row 0 right of the corner
+        maps.append(_compile_linear(forms, m))
+    return tuple(maps)
 
 
 def _orbit_expand(
@@ -631,10 +646,14 @@ def _orbit_expand(
     Forward generators suffice, as in ``generate``: the monoid of these
     conjugations is all of GL(n, Z/m).  Each conjugation permutes the entry
     tuple or is a row and a column operation on it, so no t^(-1) is ever
-    formed and no matrix is multiplied.
+    formed and no matrix is multiplied.  A scalar matrix, every element at
+    n = 1 among them, is its own class, returned before any map is built.
     """
-    conjugations = _gl_conjugations(rep.n, rep.m)
-    return _closure(rep.entries, conjugations, cap, "expanding orbit", stop_inside)
+    n, x = rep.n, rep.entries
+    if all(e == (x[0] if k % (n + 1) == 0 else 0) for k, e in enumerate(x)):
+        return {x}, stop_inside is not None and x in stop_inside
+    conjugations = _gl_conjugations(n, rep.m)
+    return _closure(x, conjugations, cap, "expanding orbit", stop_inside)
 
 
 def conj_class(rep: ModMatrix, cap: int = DEFAULT_CAP) -> ConjClass:

@@ -253,10 +253,14 @@ def dump_certificate(cert: SeparationCertificate | TorsionFreeCertificate) -> st
 def _cc_index(image: modgrp.ModMatrixGroup, keys: set[tuple]) -> dict[tuple, frozenset]:
     """Image elements bucketed by char-poly coefficients mod m (a cheap
     conjugation invariant): the only candidates for meeting a class.  Only
-    the buckets under ``keys`` are built."""
+    the buckets under ``keys`` are built, and an element whose trace mod m,
+    the first coefficient, starts no key is skipped before its char poly."""
     n, m = image.n, image.m
+    traces = {key[0] for key in keys}
     index: dict[tuple, list] = {}
     for x in image.entry_tuples():
+        if sum(x[:: n + 1]) % m not in traces:
+            continue
         key = modgrp.char_coeffs_mod(x, n, m)
         if key in keys:
             index.setdefault(key, []).append(x)

@@ -220,6 +220,17 @@ def principal_minor_sums(rows, m: int) -> tuple:
     )
 
 
+def cc_index_reference(image: modgrp.ModMatrixGroup, keys: set[tuple]) -> dict[tuple, frozenset]:
+    """The image elements bucketed by ``modgrp.char_coeffs_mod`` under the
+    given keys, with a char poly taken for every element (no prefilter)."""
+    index: dict[tuple, set] = {}
+    for x in image.entry_tuples():
+        key = modgrp.char_coeffs_mod(x, image.n, image.m)
+        if key in keys:
+            index.setdefault(key, set()).add(x)
+    return {key: frozenset(vals) for key, vals in index.items()}
+
+
 def klein_bottle_lift() -> list[IntegerMatrix]:
     """Generators of the Klein-bottle group lifted into GL(3, Z)."""
     group = CrystGroup(

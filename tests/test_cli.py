@@ -10,6 +10,7 @@ from congrusep.cli import build_parser, main
 
 U_GENS = '[{"n":2,"entries":[["1","1"],["0","1"]]}]'
 NEG_I = '{"n":2,"entries":[["-1","0"],["0","-1"]]}'
+ETA_ORDER_4 = '{"n":2,"entries":[["0","-1"],["1","0"]]}'
 KLEIN = json.dumps(
     {
         "m": 2,
@@ -94,24 +95,31 @@ def test_avoid_verify_only_tampered(capsys, tmp_path):
     assert "verification failed" in err
 
 
-def test_avoid_verify_only_semiprime_modulus_is_bounded(tmp_path):
-    # no generators, so only GL(2, Z/m)'s generators need m factored
-    m = 1000000007 * 998244353
-    cert = {
+SEMIPRIME = 1000000007 * 998244353
+
+
+def _semiprime_certificate(eta: str, class_digest: str) -> dict:
+    m = SEMIPRIME
+    return {
         "version": 1,
         "kind": "separation",
         "n": 2,
         "m": m,
         "gamma_gens": [],
-        "eta": json.loads(NEG_I),
+        "eta": json.loads(eta),
         "image_size": 1,
         "image_digest": modgrp.elements_digest(2, m, [modgrp.ModMatrix.identity(2, m).entries]),
         "class_size": 1,
-        "class_digest": "0" * 64,
+        "class_digest": class_digest,
         "disjoint": True,
     }
+
+
+def test_avoid_verify_only_semiprime_modulus_is_bounded(tmp_path):
+    # no generators, so only GL(2, Z/m)'s generators need m factored; a
+    # non-scalar eta, as a scalar's class is itself and needs none
     cert_path = tmp_path / "cert.json"
-    cert_path.write_text(json.dumps(cert))
+    cert_path.write_text(json.dumps(_semiprime_certificate(ETA_ORDER_4, "0" * 64)))
     assert len(cert_path.read_bytes()) < 500
     result = subprocess.run(
         [sys.executable, "-m", "congrusep.cli", "avoid", "--verify-only", str(cert_path)],
@@ -121,6 +129,16 @@ def test_avoid_verify_only_semiprime_modulus_is_bounded(tmp_path):
     )
     assert result.returncode == 4
     assert "cannot factor" in result.stderr
+
+
+def test_scalar_eta_class_needs_no_factoring(tmp_path):
+    # the class of -I is {-I} at any modulus, with no generator of GL(2, Z/m)
+    minus_one = modgrp.ModMatrix(2, SEMIPRIME, [-1, 0, 0, -1]).entries
+    for digest, code in ((modgrp.elements_digest(2, SEMIPRIME, [minus_one]), 0), ("0" * 64, 5)):
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(_semiprime_certificate(NEG_I, digest)))
+        result = _fresh_cli("avoid", "--verify-only", str(cert_path))
+        assert result.returncode == code, result.stderr
 
 
 def _fresh_cli(*args):

@@ -469,10 +469,10 @@ def test_orbit_sizes_divide_group_order():
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from([1, 2, 3, 4]).flatmap(
+    st.sampled_from([1, 2, 3, 4, 5]).flatmap(
         lambda n: st.tuples(
             st.just(n),
-            st.sampled_from([2, 3, 4, 8, 12, 35]),
+            st.sampled_from([2, 3, 4, 8, 12, 35, 2**64 + 13]),
             st.lists(st.integers(0, 34), min_size=n * n, max_size=n * n),
         )
     )
@@ -483,11 +483,55 @@ def test_conjugation_maps_match_matrix_conjugation(case):
         x = ModMatrix(n, m, flat)
     except PreconditionError:
         assume(False)
-    ts = gl_generators(n, m)
+    ts = _gl_generators(n, m)
     maps = _gl_conjugations(n, m)
     assert len(maps) == len(ts)
     for conjugate, t in zip(maps, ts):
         assert conjugate(x.entries) == (t.inverse() * x * t).entries
+
+
+def test_conjugation_maps_are_compiled_once_per_n_and_m():
+    maps = _gl_conjugations(3, 5)
+    assert isinstance(maps, tuple)
+    assert _gl_conjugations(3, 5) is maps
+
+
+class _Wordy(int):
+    """An int whose text forms are not digits."""
+
+    def __str__(self):
+        return "m"
+
+    __repr__ = __str__
+
+    def __format__(self, spec):
+        return "m"
+
+
+def test_only_integer_literals_reach_the_compiled_maps():
+    # the uncached builder gets m as an int subclass that prints as a name:
+    # only %d of int(m) may reach the compiled source, or the maps fail
+    rng = random.Random(0x5EED)
+    for n, m in ((1, 5), (2, 12), (3, 35), (4, 8)):
+        maps = _gl_conjugations.__wrapped__(n, _Wordy(m))
+        ts = _gl_generators(n, m)
+        assert len(maps) == len(ts)
+        for _ in range(5):
+            x = reduce(random_gl_element(rng, n), m)
+            for conjugate, t in zip(maps, ts):
+                assert conjugate(x.entries) == (t.inverse() * x * t).entries
+
+
+def test_scalar_class_builds_no_conjugation(monkeypatch):
+    built = []
+    monkeypatch.setattr(modgrp, "_gl_conjugations", lambda n, m: built.append((n, m)))
+    n = 60
+    rep = ModMatrix(n, 7, [-(k % (n + 1) == 0) for k in range(n * n)])
+    assert conj_class(rep).orbit == {rep.entries}
+    stop = frozenset([rep.entries])
+    assert _orbit_expand(rep, 1, stop_inside=stop) == ({rep.entries}, True)
+    assert _orbit_expand(rep, 1, stop_inside=frozenset()) == ({rep.entries}, False)
+    assert built == []
 
 
 def test_orbit_stabilizer_exact_n3():

@@ -36,6 +36,7 @@ from congrusep.jordan import euler_phi, is_semisimple, torsion_order
 from helpers import (
     brute_force_closure,
     brute_force_gl,
+    cc_index_reference,
     cyclotomic_polynomial,
     klein_bottle_lift,
     mat_mul_mod,
@@ -1001,6 +1002,27 @@ def test_joint_image_builds_no_char_poly_index(monkeypatch):
     # one index per probed modulus; the joint modulus is never probed
     assert cert.m == 12
     assert indexed == [2, 3, 4]
+
+
+def test_trace_prefilter_keeps_every_bucket():
+    # an element skipped for its trace has no probed char poly: the buckets
+    # equal the unfiltered build, on probe keys from the image and at random
+    rng = random.Random(0x7ACE)
+    built = 0
+    for m in [*range(2, 13), 35]:
+        for n in (1, 2, 3):
+            gens = [random_gl_element(rng, n, 3) for _ in range(rng.randint(1, 2))]
+            try:
+                image = modgrp.congruence_image(gens, m, 3000, n=n)
+            except ResourceError:
+                continue
+            built += 1
+            elements = sorted(image.entry_tuples())
+            probed = rng.sample(elements, min(3, len(elements)))
+            keys = {modgrp.char_coeffs_mod(x, n, m) for x in probed}
+            keys |= {tuple(rng.randrange(m) for _ in range(n)) for _ in range(3)}
+            assert separate._cc_index(image, keys) == cc_index_reference(image, keys)
+    assert built >= 30
 
 
 def test_verify_rejects_per_rep_modulus_not_dividing():
