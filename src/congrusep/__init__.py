@@ -41,7 +41,6 @@ from .modgrp import (
     ModMatrixGroup,
     conj_class,
     generate,
-    padic_level_image,
     reduce,
 )
 from .separate import (

@@ -53,11 +53,6 @@ from .modgrp import _schreier_generators, _schreier_transversal
 HOLONOMY_BUDGET = 10**4
 
 
-def _apply(s: IntegerMatrix, t: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """S t from the integer rows of S."""
-    return tuple(sum(a * x for a, x in zip(row, t)) for row in s.entries)
-
-
 @dataclass(frozen=True)
 class AffineElement:
     """An affine map x -> S x + t with rational t and integral S."""
@@ -87,14 +82,14 @@ class AffineElement:
         """(t1, S1)(t2, S2) = (t1 + S1 t2, S1 S2)."""
         if self.dim != other.dim:
             raise DimensionMismatchError("affine elements of different dimension")
-        moved = _apply(self.S, other.t)
+        moved = mat_vec(self.S, other.t)
         return AffineElement(
             t=tuple(a + b for a, b in zip(self.t, moved)), S=self.S * other.S
         )
 
     def inverse(self) -> "AffineElement":
         s_inv = self.S.unimodular_inverse()
-        return AffineElement(t=tuple(-x for x in _apply(s_inv, self.t)), S=s_inv)
+        return AffineElement(t=tuple(-x for x in mat_vec(s_inv, self.t)), S=s_inv)
 
     def to_json_dict(self) -> dict:
         return {

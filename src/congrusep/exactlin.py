@@ -823,7 +823,7 @@ def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def mat_vec(a: RationalMatrix, vec: Sequence) -> tuple[Fraction, ...]:
+def mat_vec(a: RationalMatrix | IntegerMatrix, vec: Sequence) -> tuple[Fraction, ...]:
     if a.cols != len(vec):
         raise DimensionMismatchError(f"matrix has {a.cols} cols, vector has {len(vec)}")
     v = [Fraction(x) for x in vec]

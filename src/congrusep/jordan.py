@@ -35,7 +35,7 @@ from .exactlin import (
     squarefree_part,
 )
 from .modgrp import _product, _right_multiplication, _schreier_generators, _schreier_transversal
-from .modgrp import congruence_image, reduce
+from .modgrp import reduce
 
 _MAX_NEWTON_STEPS = 64  # ceil(log2 n) + slack; evaluated exactly, never hit
 
@@ -242,7 +242,7 @@ def _echelon_insert(echelon: list[tuple[int, list[int]]], v: list[int]) -> bool:
 def is_virtually_unipotent_witness(gens: list[IntegerMatrix], cap: int) -> bool:
     """True iff the group G generated by gens in GL(n,Z) is virtually
     unipotent, decided exactly through K, the kernel of reduction mod 3.
-    ResourceError means not decided: ``cap`` < B(n) stopped the mod-3 closure.
+    ResourceError means not decided: ``cap`` < B(n) stopped the mod-3 walk.
 
     An element w = I mod 3 whose eigenvalues z are roots of unity is
     unipotent: (z - 1)/3 is an algebraic integer, and for z of order d > 1
@@ -256,16 +256,17 @@ def is_virtually_unipotent_witness(gens: list[IntegerMatrix], cap: int) -> bool:
        for k its order mod 3.  Such a w has a semisimple part of order
        r | L(n), r <= M(n), and (I + N)^(3^c) = I mod 3 once 3^c >= n: so
        k | L(n) 3^c and k <= M(n) 3^c, or w is refuted.
-    2. The mod-3 image is closed under min(B(n), ``cap``), and more than
-       B(n) = F(n) 3^(n(n-1)/2) elements refute.  If K is unipotent, the
-       flag W_k of step 3 is G-invariant (K is normal) and K acts trivially
-       on each W_k / W_(k+1), so G acts on their sum through G/K as a
-       finite subgroup of GL(n,Q), of order at most F(n), whose kernel N is
-       unipotent.  N mod 3 is a 3-group, of order at most 3^(n(n-1)/2), and
-       |G mod 3| <= [G : N] |N mod 3| <= B(n).
+    2. A Schreier tree is walked on the residues mod 3
+       (``modgrp._schreier_transversal``) under min(B(n), ``cap``) keys,
+       one key per element of G mod 3, and more than B(n) =
+       F(n) 3^(n(n-1)/2) refute before any lift is formed.  If K is
+       unipotent, the flag W_k of step 3 is G-invariant (K is normal) and K
+       acts trivially on each W_k / W_(k+1), so G acts on their sum through
+       G/K as a finite subgroup of GL(n,Q), of order at most F(n), whose
+       kernel N is unipotent.  N mod 3 is a 3-group, of order at most
+       3^(n(n-1)/2), and |G mod 3| <= [G : N] |N mod 3| <= B(n).
     3. K is generated by the Schreier generators s = w_x g w_(xg)^-1 over
-       the lifts w_x along a Schreier tree on the residues mod 3
-       (``modgrp._schreier_transversal``, ``_schreier_generators``), and it
+       the lifts w_x formed along that tree (``_schreier_generators``), and it
        is unipotent iff W_0 = Q^n, W_(k+1) = sum_s (s - I) W_k reaches 0:
        Kolchin's flag contains the W_k, and conversely each s acts trivially
        on every W_k / W_(k+1), so s^-1 and every product do too.  The chain
@@ -290,18 +291,17 @@ def is_virtually_unipotent_witness(gens: list[IntegerMatrix], cap: int) -> bool:
         if k is None or k > order_bound or char_poly(w**k).coeffs != target:
             return False
     bound = _mod3_image_bound(n)
-    try:
-        size = congruence_image(gens, 3, min(bound, cap), n=n).size  # the packed image is dropped
-    except ResourceError:
-        if cap < bound:
-            raise
-        return False
     distinct = list(dict.fromkeys(gens))
     residue_maps = [_right_multiplication(reduce(g, 3)) for g in distinct]
     times = [partial(_times_columns, cols=tuple(zip(*g.entries))) for g in distinct]
     eye = IntegerMatrix.identity(n)
-    lifts = _schreier_transversal(reduce(eye, 3).entries, eye.entries, residue_maps, times,
-                                  size, "lifting the mod-3 image")
+    try:
+        lifts = _schreier_transversal(reduce(eye, 3).entries, eye.entries, residue_maps, times,
+                                      min(bound, cap), "lifting the mod-3 image")
+    except ResourceError:  # raised by the walk, before any lift is formed
+        if cap < bound:
+            raise
+        return False
     span, kept = [], []  # an echelon basis of the s - I, and those that enlarged it
     for s in _schreier_generators(
         lifts, residue_maps, times, _times_columns,

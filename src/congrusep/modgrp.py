@@ -29,9 +29,10 @@ candidate costs more time than the class saves in memory.  ``ModMatrix``
 objects are made only for single elements such as generators and
 representatives.  Subgroups and classes are built by the one breadth-first
 loop ``_closure``, and every Schreier transversal (crystallographic
-holonomy witnesses, the lifts of a level-1 or mod-3 image) by the Schreier
-tree of ``_schreier_transversal``; nothing outside this module reads
-either set directly.
+holonomy witnesses, the lifts of a level-1 image, the mod-3 image of the
+virtual-unipotency decision with its lifts) by the Schreier tree of
+``_schreier_transversal``; nothing outside this module reads either set
+directly.
 """
 
 from __future__ import annotations
@@ -697,29 +698,6 @@ def congruence_image(
     under a budget of ``cap`` elements; ``n`` is needed only when gens is
     empty."""
     return generate([reduce(g, m) for g in gens], cap, n=n, m=m)
-
-
-def padic_level_image(
-    gens: Sequence[IntegerMatrix],
-    p: int,
-    level: int,
-    cap: int = DEFAULT_CAP,
-    *,
-    n: int | None = None,
-) -> ModMatrixGroup:
-    """The image of the generated group in GL(n, Z/p^level).
-
-    These finite quotients are the computable stand-ins for the closure of
-    the group in GL(n, Z_p): the level-(K+1) image always projects onto the
-    level-K image.
-    """
-    if factorize(p) != [(p, 1)]:
-        raise InputError(f"{p} is not prime")
-    if level < 1:
-        raise InputError(f"level must be >= 1, got {level}")
-    if not gens and n is None:
-        raise InputError("empty generating set needs an explicit dimension n")
-    return congruence_image(gens, p**level, cap, n=n)
 
 
 def _saturated(layers: list[list[tuple]], n: int, p: int) -> bool:

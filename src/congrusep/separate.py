@@ -413,7 +413,7 @@ def witness_prime(
         # depth outlives that level
         if level == 1:
             escapes = det % p == 0 or modgrp.reduce(factor, p) not in (
-                modgrp.padic_level_image(gamma_gens, p, 1, cap, n=n)
+                modgrp.congruence_image(gamma_gens, p, cap, n=n)
             )
         else:
             if level == 2:
@@ -573,7 +573,9 @@ def _class_claims(
 
     A separation certificate makes one claim, for eta at m.  A torsion-free
     one makes one per nontrivial representative, at a divisor of m:
-    divisor-level disjointness forces joint-level disjointness.
+    divisor-level disjointness forces joint-level disjointness.  Its
+    representatives must be the rows of the built-in table it names, in
+    order; other table versions name tables this module does not hold.
     """
     if isinstance(cert, SeparationCertificate):
         eta = cert.eta
@@ -582,6 +584,11 @@ def _class_claims(
         if not is_semisimple(eta.to_rational()):
             return None
         return [(eta, cert.m, cert.class_size, cert.class_digest)]
+    builtin = {version: rows for version, rows in _BUILTIN_TABLES.values()}
+    if cert.table_version in builtin and (
+        tuple(rep.entries for rep in cert.torsion_reps) != builtin[cert.table_version]
+    ):
+        return None
     # evidence for reps not in the table would be meaningless
     if any(e.rep not in cert.torsion_reps for e in cert.per_rep):
         return None

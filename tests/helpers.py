@@ -134,6 +134,20 @@ def brute_force_closure(gens: list[tuple], n: int, m: int) -> set[tuple]:
         elements |= new
 
 
+def padic_level_image(
+    gens: list[IntegerMatrix], p: int, level: int, cap: int = modgrp.DEFAULT_CAP, *,
+    n: int | None = None,
+) -> modgrp.ModMatrixGroup:
+    """The image G_level of <gens> in GL(n, Z/p^level), enumerated whole
+    (oracle for the layered kernel basis of ``witness_prime``, which
+    enumerates level 1 alone; G_(K+1) projects onto G_K)."""
+    if factorize(p) != [(p, 1)]:
+        raise InputError(f"{p} is not prime")
+    if level < 1:
+        raise InputError(f"level must be >= 1, got {level}")
+    return modgrp.congruence_image(gens, p**level, cap, n=n)
+
+
 def words_by_level(letters: list, depth: int, identity) -> set:
     """Every product of at most ``depth`` letters, each level rebuilt from
     the whole previous set (oracle: no frontier, no budget)."""

@@ -28,7 +28,14 @@ from congrusep.separate import (
 )
 from fractions import Fraction
 
-from helpers import is_squarefree, mat_mul_mod, min_poly, random_gl_element, unimodular_box
+from helpers import (
+    is_squarefree,
+    mat_mul_mod,
+    min_poly,
+    padic_level_image,
+    random_gl_element,
+    unimodular_box,
+)
 
 U = IntegerMatrix([[1, 1], [0, 1]])
 NEG_I = IntegerMatrix([[-1, 0], [0, -1]])
@@ -248,7 +255,7 @@ def test_criterion_8_tower_of_two_adic_images():
     sizes = []
     previous = None
     for level in range(1, 5):
-        image = modgrp.padic_level_image([U], 2, level)
+        image = padic_level_image([U], 2, level)
         sizes.append(image.size)
         if previous is not None:
             projected = {

@@ -359,17 +359,43 @@ def test_torsion_free_builtin_table(capsys, tmp_path):
                          ids=["det-2", "zero"])
 def test_torsion_free_verify_only_rep_outside_gl_fails(capsys, tmp_path, rep):
     # a representative outside GL(n, Z) has no torsion order: the
-    # certificate fails verification instead of raising a precondition error
+    # certificate fails verification instead of raising a precondition error.
+    # A custom table, so that no built-in table refuses the edited row first
     out_file = tmp_path / "tf.json"
     code, _, _ = run_cli(["torsion-free", U_GENS, "--output", str(out_file)], capsys)
     assert code == 0
     cert = json.loads(out_file.read_text())
     assert cert["torsion_reps"][0]["entries"] == [["1", "0"], ["0", "1"]]
     cert["torsion_reps"][0]["entries"] = rep
+    cert["table_version"] = "custom"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cert))
     code, out, _ = run_cli(["torsion-free", "--verify-only", str(bad)], capsys)
     assert (code, out) == (5, "")
+
+
+@pytest.mark.parametrize("edit, expected", [
+    (lambda cert: cert, 0),
+    (lambda cert: dict(cert, torsion_reps=[], per_rep=[]), 5),
+    (lambda cert: dict(cert, torsion_reps=cert["torsion_reps"][1:]), 5),  # no identity
+    (lambda cert: dict(cert, torsion_reps=cert["torsion_reps"][::-1]), 5),
+], ids=["intact", "stripped", "subset", "reordered"])
+def test_torsion_free_verify_only_checks_the_builtin_table(capsys, tmp_path, edit, expected):
+    # each edit keeps the evidence consistent with the representatives, so
+    # only the table named by table_version can tell the certificate wrong
+    out_file = tmp_path / "tf.json"
+    code, _, _ = run_cli(["torsion-free", U_GENS, "--output", str(out_file)], capsys)
+    assert code == 0
+    cert = json.loads(out_file.read_text())
+    assert cert["table_version"] == "builtin-n2-v1"
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(edit(cert)))
+    code, _, _ = run_cli(["torsion-free", "--verify-only", str(edited)], capsys)
+    assert code == expected
+    relabelled = tmp_path / "custom.json"
+    relabelled.write_text(json.dumps(dict(edit(cert), table_version="custom")))
+    code, _, _ = run_cli(["torsion-free", "--verify-only", str(relabelled)], capsys)
+    assert code == 0  # a custom table is checked against nothing
 
 
 def test_torsion_free_no_builtin_table_dim4(capsys):

@@ -569,31 +569,47 @@ def test_step_3_inverts_each_lift_at_most_once_and_only_when_used(monkeypatch, g
         assert (len(lifts), len(calls)) == (3, 1)  # only U^3 = U^2 U is a nontrivial s
 
 
-def _closures(monkeypatch):
-    """Record (cap, size) of every closure the decision runs."""
+def _walks(monkeypatch):
+    """Record [cap, keys, lifts] of every Schreier tree the decision walks:
+    keys stays None when the walk stops at its cap, and lifts counts the
+    lift products formed along the tree."""
     calls = []
-    closure = modgrp._closure
+    walk = jordan._schreier_transversal
 
-    def recorded(start, maps, cap, what, *args, **kwargs):
-        calls.append([cap, None])
-        seen, hit = closure(start, maps, cap, what, *args, **kwargs)
-        calls[-1][1] = len(seen)
-        return seen, hit
+    def recorded(start_key, start, key_maps, lift_maps, cap, what):
+        calls.append([cap, None, 0])
+        record = calls[-1]
 
-    monkeypatch.setattr(modgrp, "_closure", recorded)
+        def counted(f):
+            def lift(w):
+                record[2] += 1
+                return f(w)
+            return lift
+
+        tree = walk(start_key, start, key_maps, [counted(f) for f in lift_maps], cap, what)
+        record[1] = len(tree)
+        return tree
+
+    monkeypatch.setattr(jordan, "_schreier_transversal", recorded)
     return calls
 
 
+#: Three reflections that generate GL(2, Z); each pair multiplies to an
+#: element of order 4, of order 6 or to a unipotent one.
+GL2_REFLECTIONS = [
+    IntegerMatrix(rows) for rows in ([[-1, 0], [0, 1]], [[0, 1], [1, 0]], [[-1, 1], [0, 1]])
+]
+
+
 def test_image_bound_refutes_before_any_lift(monkeypatch):
-    # three reflections generate GL(2, Z), and each pair multiplies to an
-    # element of order 4, of order 6 or to a unipotent one, so the first
-    # step passes; the mod-3 image is GL(2, F_3), 48 > B(2) = 36 elements
+    # the first step passes GL2_REFLECTIONS; the mod-3 image is GL(2, F_3),
+    # 48 > B(2) = 36 elements
     assert [_mod3_image_bound(n) for n in (1, 2, 3, 4)] == [2, 36, 1296, 839808]
-    gens = [IntegerMatrix(rows) for rows in ([[-1, 0], [0, 1]], [[0, 1], [1, 0]], [[-1, 1], [0, 1]])]
+    gens = GL2_REFLECTIONS
     assert not scan_refutes(gens, 2)
-    calls = _closures(monkeypatch)
+    calls = _walks(monkeypatch)
     assert not is_virtually_unipotent_witness(gens, CAP)
-    assert [cap for cap, _ in calls] == [36]  # the packed closure only, never lifted
+    assert calls == [[36, None, 0]]  # one walk, stopped at B(2) keys, no lift formed
     assert modgrp.congruence_image(gens, 3, CAP, n=2).size == 48
 
 
@@ -601,16 +617,49 @@ def test_image_bound_refutes_before_any_lift(monkeypatch):
     ([S, R], CAP), (HEIS3, CAP), (klein_bottle_lift(), CAP), (UNITRIANGULAR4, 10**6),
 ])
 def test_decision_closes_at_most_the_bound_mod_3(monkeypatch, gens, cap):
-    calls = _closures(monkeypatch)
+    # one walk per decision, under min(B(n), cap) keys, one key per element
+    # of the mod-3 image and one lift per key but the root
+    calls = _walks(monkeypatch)
     is_virtually_unipotent_witness(gens, cap)
-    limit = min(_mod3_image_bound(gens[0].n), cap)
-    assert calls and all(c <= limit and size <= limit for c, size in calls)
+    n = gens[0].n
+    size = modgrp.congruence_image(gens, 3, CAP, n=n).size
+    assert calls == [[min(_mod3_image_bound(n), cap), size, size - 1]]
 
 
 def test_elementary_generators_n4_are_refuted_without_any_closure(monkeypatch):
-    calls = _closures(monkeypatch)
+    calls = _walks(monkeypatch)
     assert not is_virtually_unipotent_witness(elementary_generators(4), CAP)
     assert calls == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_one_walk_counts_the_mod_3_image(rng):
+    # the packed closure the walk replaced stays the oracle of its key
+    # count; a walk stopped at B(n) refutes with no lift formed, and a cap
+    # of exactly |G mod 3| decides as the default one does, one less leaves
+    # the answer not decided
+    gens = _seeded_group(rng)
+    if rng.random() < 0.2:  # a conjugate of GL(2, Z), over the bound mod 3
+        h = random_gl_element(rng, 2, 3)
+        gens = [h.unimodular_inverse() * g * h for g in rng.sample(GL2_REFLECTIONS, 3)]
+    n = gens[0].n
+    size = modgrp.congruence_image(gens, 3, CAP, n=n).size
+    bound = _mod3_image_bound(n)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _walks(mp)
+        decided = is_virtually_unipotent_witness(gens, CAP)
+    if not calls:  # refuted in step 1, before the walk
+        assert not decided
+        return
+    if size > bound:
+        assert (decided, calls) == (False, [[bound, None, 0]])
+        return
+    assert calls == [[bound, size, size - 1]]
+    assert is_virtually_unipotent_witness(gens, size) is decided
+    if size > 1:
+        with pytest.raises(ResourceError):
+            is_virtually_unipotent_witness(gens, size - 1)
 
 
 def test_not_decided_when_the_cap_stops_the_mod_3_closure():

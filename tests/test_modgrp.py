@@ -30,7 +30,6 @@ from congrusep.modgrp import (
     generate,
     gl_order,
     is_conjugate_mod,
-    padic_level_image,
     reduce,
     unit_group_generators,
 )
@@ -43,6 +42,7 @@ from helpers import (
     keyed_transversal,
     leibniz_det,
     mat_mul_mod,
+    padic_level_image,
     principal_minor_sums,
     random_gl_element,
     signed_permutation_matrices,

@@ -40,6 +40,7 @@ from helpers import (
     cyclotomic_polynomial,
     klein_bottle_lift,
     mat_mul_mod,
+    padic_level_image,
     random_gl_element,
     screen_reference,
     signed_permutation_matrices,
@@ -280,7 +281,7 @@ def test_witness_prime_frees_each_level_before_the_next():
         with pytest.raises(ScheduleExhaustedError):
             witness_prime(RationalMatrix.identity(2), [U], [13, 17], level_budget=3)
 
-    alone = traced_peak(lambda: modgrp.padic_level_image([U], 17, 3))
+    alone = traced_peak(lambda: padic_level_image([U], 17, 3))
     assert traced_peak(exhaust) <= 1.1 * alone
 
 
@@ -299,7 +300,7 @@ def _no_images(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an image was built before the input was checked")
 
-    monkeypatch.setattr(modgrp, "padic_level_image", refuse)
+    monkeypatch.setattr(modgrp, "congruence_image", refuse)
     monkeypatch.setattr(modgrp, "generate", refuse)
 
 
@@ -359,7 +360,7 @@ def _padic_cases(draw):
 @given(_padic_cases())
 def test_witness_prime_matches_enumerated_levels(case):
     """The level witness_prime reports is the first K with the factor mod
-    p^K outside padic_level_image (the oracle), and each order
+    p^K outside helpers.padic_level_image (the oracle), and each order
     |G_1| p^(dim L_1 + ... + dim L_(K-1)) of the layered kernel basis is
     the enumerated image's size.  p = 2 is drawn on purpose:
     (I + 2X)^2 = I + 4(X + X^2), so squares leave the layer of X."""
@@ -368,7 +369,7 @@ def test_witness_prime_matches_enumerated_levels(case):
     images = []
     for level in range(1, budget + 1):
         try:
-            images.append(modgrp.padic_level_image(gens, p, level, 20_000, n=n))
+            images.append(padic_level_image(gens, p, level, 20_000, n=n))
         except ResourceError:
             break  # check the levels the oracle can enumerate
     budget = len(images)
@@ -578,9 +579,13 @@ def test_table_screen_n3_small_bound():
     assert validate_torsion_table(3, bound=1) == []
 
 
-@pytest.mark.slow
 def test_table_screen_n3_bound_two():
     assert validate_torsion_table(3, bound=2) == []
+
+
+@pytest.mark.slow
+def test_table_screen_n3_bound_three():
+    assert validate_torsion_table(3, bound=3) == []
 
 
 def test_table_with_infinite_order_entry_rejected():
