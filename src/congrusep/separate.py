@@ -584,7 +584,7 @@ def _class_claims(
         if not is_semisimple(eta.to_rational()):
             return None
         return [(eta, cert.m, cert.class_size, cert.class_digest)]
-    builtin = {version: rows for version, rows in _BUILTIN_TABLES.values()}
+    builtin = dict(_BUILTIN_TABLES.values())  # version -> rows
     if cert.table_version in builtin and (
         tuple(rep.entries for rep in cert.torsion_reps) != builtin[cert.table_version]
     ):
