@@ -3,7 +3,8 @@
 Exit codes are a stable contract:
 
     0  success
-    2  input error (bad JSON, bad shapes, missing tables, malformed certificate)
+    2  input error (bad JSON, bad shapes, missing tables, malformed certificate,
+       an unreadable input or an --output path that cannot be written)
     3  mathematical precondition failure (singular matrix, non-semisimple target, ...)
     4  budget or schedule exhaustion
     5  certificate verification failure
@@ -60,8 +61,11 @@ def _load_json_arg(arg: str):
 def _emit(data: dict, config: RunConfig) -> None:
     text = separate.canonical_json(data)
     if config.output:
-        with open(config.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(config.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {config.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -124,11 +128,13 @@ def _cmd_jordan(args) -> int:
     config = _config_from_args(args)
     mat = RationalMatrix.from_json_dict(_load_json_arg(args.matrix))
     pair = jordan.jordan_decompose(mat)
+    # the decomposition is unique: g is semisimple iff u = I, unipotent iff s = I
+    eye = RationalMatrix.identity(mat.n)
     result = {
         "semisimple": pair.semisimple.to_json_dict(),
         "unipotent": pair.unipotent.to_json_dict(),
-        "is_semisimple": jordan.is_semisimple(mat),
-        "is_unipotent": jordan.is_unipotent(mat),
+        "is_semisimple": pair.unipotent == eye,
+        "is_unipotent": pair.semisimple == eye,
     }
     if mat.is_integral and mat.to_integer().det() in (1, -1):
         result["torsion_order"] = jordan.torsion_order(mat.to_integer())

@@ -25,14 +25,17 @@ largest set the program builds, and an int costs about half a tuple.  A
 conjugacy class (``ConjClass.orbit``) holds flat entry tuples (row-major
 residues in [0, m)), the body of the encoding above, because its
 conjugation maps, compiled once per (n, m), act on tuples and packing each
-candidate costs more time than the class saves in memory.  ``ModMatrix``
-objects are made only for single elements such as generators and
-representatives.  Subgroups and classes are built by the one breadth-first
-loop ``_closure``, and every Schreier transversal (crystallographic
-holonomy witnesses, the lifts of a level-1 image, the mod-3 image of the
-virtual-unipotency decision with its lifts) by the Schreier tree of
-``_schreier_transversal``; nothing outside this module reads either set
-directly.
+candidate costs more time than the class saves in memory.  Right
+multiplications x -> x t by generators and the conjugations of classes
+are both linear forms in the entries, compiled by the one
+``_compile_linear`` and kept for the last ``_COMPILED_KEPT`` generators t
+and pairs (n, m) respectively.  ``ModMatrix`` objects are made only for
+single elements such as generators and representatives.  Subgroups and
+classes are built by the one breadth-first loop ``_closure``, and every
+Schreier transversal (crystallographic holonomy witnesses, the lifts of a
+level-1 image, the mod-3 image of the virtual-unipotency decision with its
+lifts) by the Schreier tree of ``_schreier_transversal``; nothing outside
+this module reads either set directly.
 """
 
 from __future__ import annotations
@@ -77,8 +80,10 @@ def _closure(start, maps, cap: int, what: str, stop=None, key=None) -> tuple[set
     The maps act on elements as given; with ``key`` the returned set holds
     ``key(y)`` for each element y instead of y (``stop`` is still tested on
     y).  ``generate`` packs subgroup elements this way, while the frontier
-    keeps the entry tuples that its compiled right multiplications
-    (``_right_multiplication``) act on.  Orbits pass no key: an orbit packs
+    keeps the entry tuples that its right multiplications act on; those
+    are compiled by ``_compile_linear`` like the conjugations of an orbit,
+    and kept for the last ``_COMPILED_KEPT`` generators
+    (``_right_multiplication``).  Orbits pass no key: an orbit packs
     one candidate per conjugation and unpacks every element for its
     digest, so closing and digesting the 15,500 elements of the m = 5
     class of the 3-cycle under the compiled conjugations of
@@ -404,43 +409,6 @@ class ModMatrixGroup:
         return [_rows(_unpack(x, n, m), n) for x in sorted(self.elements)]
 
 
-def _right_multiplication(t: ModMatrix) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """The map x -> x t mod m on flat entry tuples, compiled once for t.
-
-    Entry (i, j) of x t is the sum of x[i][k] t[k][j] over the k with
-    t[k][j] != 0, so only those pairs (i n + k, t[k][j]) are kept.  An entry
-    whose one pair has coefficient 1 is a copy of a residue of x, taken by
-    one ``itemgetter`` call with the others; the rest are sums reduced mod
-    m.  Generators are mostly zeros and ones, so this is a few additions per
-    element instead of the n^3 index arithmetic of ``_product``.
-    """
-    n, m = t.n, t.m
-    if n == 1:
-        # an itemgetter of one index returns the item, not a tuple
-        (u,) = t.entries
-        return lambda x: (x[0] * u % m,)
-    terms = [
-        tuple((i + k, c) for k in range(n) if (c := t.entries[k * n + j]))
-        for i in range(0, n * n, n)
-        for j in range(n)
-    ]
-    copies = [s[0][0] if len(s) == 1 and s[0][1] == 1 else None for s in terms]
-    # index 0 is a placeholder for each entry that is summed below
-    copy = itemgetter(*(0 if k is None else k for k in copies))
-    sums = tuple((dst, s) for dst, s in enumerate(terms) if copies[dst] is None)
-
-    def multiply(x: tuple[int, ...]) -> tuple[int, ...]:
-        y = list(copy(x))
-        for dst, s in sums:
-            v = 0
-            for k, c in s:
-                v += x[k] * c
-            y[dst] = v % m
-        return tuple(y)
-
-    return multiply
-
-
 def generate(
     gens: Sequence[ModMatrix],
     cap: int = DEFAULT_CAP,
@@ -452,9 +420,9 @@ def generate(
 
     Forward generators suffice: in a finite group every g has g^k = g^(-1)
     for k = ord(g) - 1, so the monoid generated by gens is the group.  Each
-    distinct generator's right multiplication is compiled once by
-    ``_right_multiplication`` into sums over its nonzero entries; no matrix
-    product is formed per element.
+    distinct generator's right multiplication is compiled by
+    ``_right_multiplication`` into sums over its nonzero entries, or taken
+    from its cache; no matrix product is formed per element.
 
     ``n`` and ``m`` are required only when gens is empty (trivial group).
     Exceeding ``cap`` elements raises ResourceError carrying the partial size.
@@ -569,8 +537,10 @@ class ConjClass:
         return [_rows(x, self.n) for x in sorted(self.orbit)]
 
 
-#: Most (n, m) pairs whose compiled conjugations ``_gl_conjugations`` keeps.
-_CONJUGATIONS_KEPT = 32
+#: Most maps each compiling cache keeps: the right multiplications of
+#: ``_right_multiplication`` by distinct t, and the conjugations of
+#: ``_gl_conjugations`` for distinct (n, m).
+_COMPILED_KEPT = 32
 
 
 def _compile_linear(
@@ -578,10 +548,14 @@ def _compile_linear(
 ) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
     """The map x -> y on flat entry tuples with y[k] the sum of c x[i] mod m
     over the pairs (i, c) of forms[k], compiled into one straight-line tuple
-    expression; an entry whose one pair is (i, 1) is the copy x[i].  The
-    source holds integer literals alone, each formatted with ``%d``."""
+    expression; an entry whose one pair is (i, 1) is the copy x[i], and an
+    empty form is 0.  The source holds integer literals alone, each
+    formatted with ``%d``."""
     parts = []
     for form in forms:
+        if not form:  # a zero column of a right multiplication
+            parts.append("0")
+            continue
         if len(form) == 1 and form[0][1] == 1:
             parts.append("x[%d]" % form[0][0])
             continue
@@ -593,7 +567,26 @@ def _compile_linear(
     return eval("lambda x: (%s,)" % ",".join(parts), {"__builtins__": {}})
 
 
-@lru_cache(maxsize=_CONJUGATIONS_KEPT)
+@lru_cache(maxsize=_COMPILED_KEPT)
+def _right_multiplication(t: ModMatrix) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The map x -> x t mod m on flat entry tuples, compiled by
+    ``_compile_linear``.
+
+    Entry (i, j) of x t is the sum of x[i][k] t[k][j] over the k with
+    t[k][j] != 0, so each column's nonzero pairs (k, t[k][j]) are collected
+    once and shifted to row i.  Generators are mostly zeros and ones, so
+    this is a few additions per element instead of the n^3 index arithmetic
+    of ``_product``.  The maps of the last ``_COMPILED_KEPT`` distinct t are
+    kept, as compiling one costs about as much as a few hundred
+    multiplications by it.
+    """
+    n = t.n
+    columns = [[(k, c) for k in range(n) if (c := t.entries[k * n + j])] for j in range(n)]
+    forms = [[(i + k, c) for k, c in column] for i in range(0, n * n, n) for column in columns]
+    return _compile_linear(forms, t.m)
+
+
+@lru_cache(maxsize=_COMPILED_KEPT)
 def _gl_conjugations(n: int, m: int) -> tuple[Callable[[tuple[int, ...]], tuple[int, ...]], ...]:
     """The maps x -> t^(-1) x t on flat entry tuples, for t running over a
     generating set of GL(n, Z/m): the transvection E_01(1), the permutation
@@ -610,7 +603,7 @@ def _gl_conjugations(n: int, m: int) -> tuple[Callable[[tuple[int, ...]], tuple[
     corner left as it is.  Both are compiled by ``_compile_linear`` into one
     tuple expression over the O(n) changed entries and the copied rest.  By
     the cycle it takes entry (i, j) from ((i-1) mod n, (j-1) mod n), one
-    ``itemgetter`` call.  The maps of the last ``_CONJUGATIONS_KEPT`` pairs
+    ``itemgetter`` call.  The maps of the last ``_COMPILED_KEPT`` pairs
     (n, m) are kept, so an orbit compiles nothing that an earlier orbit at
     its (n, m) compiled.
     """

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from congrusep import cryst, modgrp
+from congrusep import cryst, jordan, modgrp
 from congrusep.cli import build_parser, main
+from congrusep.exactlin import RationalMatrix
 
 U_GENS = '[{"n":2,"entries":[["1","1"],["0","1"]]}]'
 NEG_I = '{"n":2,"entries":[["-1","0"],["0","-1"]]}'
@@ -61,6 +62,32 @@ def test_jordan_singular_exit_code(capsys):
 def test_jordan_invalid_json_exit_code(capsys):
     code, _, _ = run_cli(["jordan", '{"n":2,"entries":[[1.5,0],[0,1]]}'], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("rows", [
+    [["1", "1"], ["0", "1"]],
+    [["0", "-1"], ["1", "0"]],
+    [["-1", "1"], ["0", "-1"]],
+    [["2", "0", "0"], ["0", "1/2", "1"], ["0", "0", "1/2"]],
+    [["1", "1", "0"], ["0", "1", "1"], ["0", "0", "1"]],
+    [["3", "0"], ["0", "1/3"]],
+])
+def test_jordan_predicates_match_the_direct_decisions(rows, capsys):
+    arg = json.dumps({"n": len(rows), "entries": rows})
+    code, out, _ = run_cli(["jordan", arg], capsys)
+    mat = RationalMatrix.from_json_dict(json.loads(arg))
+    assert code == 0
+    data = json.loads(out)
+    assert data["is_semisimple"] is jordan.is_semisimple(mat)
+    assert data["is_unipotent"] is jordan.is_unipotent(mat)
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_exits_2(where, capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    code, out, err = run_cli(["jordan", NEG_I, "--output", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

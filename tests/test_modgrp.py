@@ -209,6 +209,25 @@ def test_right_multiplication_matches_matrix_product(case):
     assert _right_multiplication(t)(x.entries) == (x * t).entries
 
 
+@pytest.mark.parametrize(
+    "n, entries",
+    [
+        # the Jordan block: a unitriangular generator far above the n <= 4 drawn above
+        (100, [int(j - i in (0, 1)) for i in range(100) for j in range(100)]),
+        # no zero entry, so every form has n terms
+        (12, [(3 * i + 5 * j) % 10 + 1 for i in range(12) for j in range(12)]),
+    ],
+)
+def test_right_multiplication_matches_matrix_product_at_large_n(n, entries):
+    rng = random.Random(n)
+    m = 2**64 + 13
+    t = ModMatrix._raw(n, m, tuple(entries))
+    multiply = _right_multiplication(t)
+    for _ in range(3):
+        x = ModMatrix._raw(n, m, tuple(rng.randrange(m) for _ in range(n * n)))
+        assert multiply(x.entries) == (x * t).entries
+
+
 def _random_unit_matrix(rng, n, m, step=1):
     """A random element of GL(n, Z/m) congruent to I mod ``step``."""
     while True:
@@ -496,6 +515,13 @@ def test_conjugation_maps_are_compiled_once_per_n_and_m():
     assert _gl_conjugations(3, 5) is maps
 
 
+def test_right_multiplications_are_compiled_once_per_generator():
+    # equal generators reduced separately are equal keys of one cache entry
+    a, b = reduce(E12_3, 5), reduce(IntegerMatrix([[6, 1, 5], [0, 11, 0], [0, -5, 1]]), 5)
+    assert a is not b and a == b
+    assert _right_multiplication(a) is _right_multiplication(b)
+
+
 class _Wordy(int):
     """An int whose text forms are not digits."""
 
@@ -520,6 +546,11 @@ def test_only_integer_literals_reach_the_compiled_maps():
             x = reduce(random_gl_element(rng, n), m)
             for conjugate, t in zip(maps, ts):
                 assert conjugate(x.entries) == (t.inverse() * x * t).entries
+        # generator entries and m reach the source of a right multiplication
+        for t in ts + [reduce(random_gl_element(rng, n), m)]:
+            multiply = _right_multiplication.__wrapped__(ModMatrix._raw(n, _Wordy(m), t.entries))
+            x = reduce(random_gl_element(rng, n), m)
+            assert multiply(x.entries) == (x * t).entries
 
 
 def test_scalar_class_builds_no_conjugation(monkeypatch):
