@@ -25,17 +25,28 @@ largest set the program builds, and an int costs about half a tuple.  A
 conjugacy class (``ConjClass.orbit``) holds flat entry tuples (row-major
 residues in [0, m)), the body of the encoding above, because its
 conjugation maps, compiled once per (n, m), act on tuples and packing each
-candidate costs more time than the class saves in memory.  Right
-multiplications x -> x t by generators and the conjugations of classes
-are both linear forms in the entries, compiled by the one
-``_compile_linear`` and kept for the last ``_COMPILED_KEPT`` generators t
-and pairs (n, m) respectively.  ``ModMatrix`` objects are made only for
-single elements such as generators and representatives.  Subgroups and
-classes are built by the one breadth-first loop ``_closure``, and every
-Schreier transversal (crystallographic holonomy witnesses, the lifts of a
-level-1 image, the mod-3 image of the virtual-unipotency decision with its
-lifts) by the Schreier tree of ``_schreier_transversal``; nothing outside
-this module reads either set directly.
+candidate costs more time than the class saves in memory.  A class closes
+under conjugation by E_01(1), by P diag(v, 1, ..., 1) with P the n-cycle
+and v = (-1)^(n-1) u_1, whose determinant is u_1, and by
+diag(u, 1, ..., 1) for the further generators u of (Z/m)^*: the powers of
+the second carry E_01(1) to every E_i,i+1(unit), whose powers and
+commutators generate SL(n, Z/m), and the determinants generate (Z/m)^*
+(``_gl_conjugations``).  Right multiplications x -> x t by generators and
+the conjugations of classes are both linear forms in the entries,
+compiled by the one ``_compile_linear`` and kept for the last
+``_COMPILED_KEPT`` generators t and pairs (n, m) respectively.
+``ModMatrix`` objects are made only for single elements such as
+generators and representatives.  A digest sorts one byte key per
+element, each residue replaced by its rank among the residues' decimal
+texts, so that byte order is the order of the encodings, and hashes the
+body a block of lines at a time (``elements_digest``); only above
+m = 256, where a residue does not fit in a byte, are the encodings
+formatted and sorted as text.  Subgroups and classes are built by the one
+breadth-first loop ``_closure``, and every Schreier transversal
+(crystallographic holonomy witnesses, the lifts of a level-1 image, the
+mod-3 image of the virtual-unipotency decision with its lifts) by the
+Schreier tree of ``_schreier_transversal``; nothing outside this module
+reads either set directly.
 """
 
 from __future__ import annotations
@@ -44,7 +55,6 @@ import hashlib
 import itertools
 from functools import lru_cache, partial
 from math import gcd
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import exactlin
@@ -86,9 +96,10 @@ def _closure(start, maps, cap: int, what: str, stop=None, key=None) -> tuple[set
     (``_right_multiplication``).  Orbits pass no key: an orbit packs
     one candidate per conjugation and unpacks every element for its
     digest, so closing and digesting the 15,500 elements of the m = 5
-    class of the 3-cycle under the compiled conjugations of
-    ``_gl_conjugations`` took 76-84 ms packed against 33-36 ms as tuples
-    (2 CPUs, Python 3.11.7).
+    class of the 3-cycle under the two compiled conjugations of
+    ``_gl_conjugations``, digested from byte keys by ``elements_digest``,
+    took 56-60 ms packed against 23-30 ms as tuples (20 runs each, 2 CPUs,
+    Python 3.11.7).
 
     The set is returned as built, not copied: a frozen copy would double
     the hash table at the peak.  Callers never mutate it.
@@ -309,13 +320,61 @@ class ModMatrix:
         return _rows(self.entries, self.n)
 
 
+#: Entries per block of a digest body built from byte keys: 3,640 lines at
+#: n = 3, so the body is never joined whole.
+_DIGEST_BLOCK = 1 << 15
+
+
 def elements_digest(n: int, m: int, elements: Iterable[tuple[int, ...]]) -> str:
     """Order-independent SHA-256 digest of a set of entry tuples of
-    GL(n, Z/m): the newline-joined sorted encodings ``n:m:e00,e01,...``."""
-    encode = (f"{n}:{m}:" + ",".join(["%d"] * (n * n))).__mod__
-    # ASCII text sorts as its bytes do
-    body = "\n".join(sorted(map(encode, elements)))
-    return hashlib.sha256(body.encode("ascii")).hexdigest()
+    GL(n, Z/m): the newline-joined sorted encodings ``n:m:e00,e01,...``.
+
+    For m <= 256 each tuple is keyed as ``bytes(x).translate(rank)``,
+    rank(v) being the position of str(v) in sorted(str(k) for k < m):
+    "," sorts before every digit, so the keys sort as their encodings do
+    (below m = 11, rank(v) = v).  The sorted keys are written out a block
+    of ``_DIGEST_BLOCK`` entries at a time into a template of lines whose
+    entries are ``width`` spaces: digit d of every entry comes from one
+    ``translate`` of the block's keys, put in place by one strided slice
+    assignment per entry position, and the spaces left over are removed.
+    Each block is hashed as it is made.  Above m = 256 a residue does not
+    fit in a byte, and each tuple is encoded with one ``%``-format and
+    sorted as text.
+    """
+    k = n * n
+    prefix = f"{n}:{m}:"
+    if m > 256:
+        encode = (prefix + ",".join(["%d"] * k)).__mod__
+        # ASCII text sorts as its bytes do
+        body = "\n".join(sorted(map(encode, elements)))
+        return hashlib.sha256(body.encode("ascii")).hexdigest()
+    texts = sorted(map(str, range(m)))
+    keys = map(bytes, elements)
+    if m > 10:
+        rank = bytearray(256)
+        for r, text in enumerate(texts):
+            rank[int(text)] = r
+        keys = map(bytes.translate, keys, itertools.repeat(rank))
+    keys = sorted(keys)
+    width = len(str(m - 1))
+    # digit d of the text of rank r, right-aligned in width spaces
+    digit = [bytes(c) + bytes(256 - m) for c in zip(*(t.rjust(width).encode() for t in texts))]
+    # each line opens with its newline, which the first line drops
+    line = bytearray(("\n" + prefix + ",".join([" " * width] * k)).encode())
+    offsets = [1 + len(prefix) + e * (width + 1) for e in range(k)]
+    lines = _DIGEST_BLOCK // k or 1
+    digest = hashlib.sha256()
+    for start in range(0, len(keys), lines):
+        chunk = keys[start : start + lines]
+        flat = b"".join(chunk)
+        block = line * len(chunk)
+        for d, table in enumerate(digit):
+            digits = flat.translate(table)
+            for e, offset in enumerate(offsets):
+                block[offset + d :: len(line)] = digits[e::k]
+        block = block.replace(b" ", b"")
+        digest.update(memoryview(block)[start == 0 :])
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -589,44 +648,56 @@ def _right_multiplication(t: ModMatrix) -> Callable[[tuple[int, ...]], tuple[int
 @lru_cache(maxsize=_COMPILED_KEPT)
 def _gl_conjugations(n: int, m: int) -> tuple[Callable[[tuple[int, ...]], tuple[int, ...]], ...]:
     """The maps x -> t^(-1) x t on flat entry tuples, for t running over a
-    generating set of GL(n, Z/m): the transvection E_01(1), the permutation
-    matrix of the cycle (0 1 ... n-1), and diag(u, 1, ..., 1) for one unit u
-    per cyclic factor of (Z/m)^*, in that order.
+    generating set of GL(n, Z/m), in this order: the transvection E_01(1);
+    t = P diag(v, 1, ..., 1), P the permutation matrix of the cycle
+    (0 1 ... n-1) and v = (-1)^(n-1) u_1; and diag(u, 1, ..., 1) for each
+    further u of ``unit_group_generators(m)`` = [u_1, u_2, ...], one unit
+    per cyclic factor of (Z/m)^* (u_1 = 1 when the group is trivial, at
+    m = 2).  At n = 1 they are diag(u) for every u.
 
-    Conjugating E_01(1) by powers of the cycle gives every E_i,i+1(1) (the
-    index mod n), and their commutators give every other E_ij(1), which
-    together generate SL(n, Z/m); the diagonal units give every determinant.
+    Why they generate: det P = (-1)^(n-1), so det t = u_1.  Conjugating
+    E_01(1) by the powers of t gives E_i,i+1(w) for every i mod n, w a
+    unit (1, or v where row 0 or column 0 is met), and its power
+    w^(-1) mod m is E_i,i+1(1).  Commutators of these give every other
+    E_ij(1), which together generate SL(n, Z/m); the determinants u_1,
+    u_2, ... generate (Z/m)^*, so the set generates GL(n, Z/m).  The sign
+    is needed: with v = u_1, at n = 2 and m = 4 or 7, det t = -u_1 is 1 or
+    of order 3, and the set generates a proper subgroup.
 
-    Each map is built from (n, m) alone, with no matrix formed.  Conjugation
-    by E_01(1) adds column 0 to column 1, then subtracts row 1 from row 0;
-    by diag(u, 1, ...) it scales column 0 by u and row 0 by u^(-1), the
-    corner left as it is.  Both are compiled by ``_compile_linear`` into one
-    tuple expression over the O(n) changed entries and the copied rest.  By
-    the cycle it takes entry (i, j) from ((i-1) mod n, (j-1) mod n), one
-    ``itemgetter`` call.  The maps of the last ``_COMPILED_KEPT`` pairs
-    (n, m) are kept, so an orbit compiles nothing that an earlier orbit at
-    its (n, m) compiled.
+    Each map is built from (n, m) alone, with no matrix formed, and
+    compiled by ``_compile_linear`` into one tuple expression.  Conjugation
+    by E_01(1) adds column 0 to column 1, then subtracts row 1 from row 0,
+    O(n) changed entries beside the copied rest.  By t it takes entry (i, j)
+    from ((i-1) mod n, (j-1) mod n), then scales row 0 by v^(-1) and column
+    0 by v; by diag(u, 1, ...) it scales row 0 by u^(-1) and column 0 by u,
+    each time the corner left as it is.  Folding the cycle into u_1 closes
+    a class at prime m under two maps instead of three.  The maps of the
+    last ``_COMPILED_KEPT`` pairs (n, m) are kept, so an orbit compiles
+    nothing that an earlier orbit at its (n, m) compiled.
     """
     m = int(m)
-    maps = []
-    if n > 1:
-        forms = [[(k, 1)] for k in range(n * n)]
-        for r in range(0, n * n, n):
-            forms[r + 1] = forms[r + 1] + [(r, 1)]
-        for c in range(n):
-            forms[c] = forms[c] + [(k, -a) for k, a in forms[n + c]]
-        maps.append(_compile_linear(forms, m))
-        maps.append(
-            itemgetter(*((i - 1) % n * n + (j - 1) % n for i in range(n) for j in range(n)))
-        )
-    for u in unit_group_generators(m):
-        u_inv = pow(u, -1, m)
-        forms = [[(k, 1)] for k in range(n * n)]
-        for k in range(1, n):
-            forms[k * n] = [(k * n, u)]  # column 0 below the corner
-            forms[k] = [(k, u_inv)]  # row 0 right of the corner
-        maps.append(_compile_linear(forms, m))
-    return tuple(maps)
+
+    def scaled_shift(s: int, w: int) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+        # entry (i, j) from ((i-s) mod n, (j-s) mod n), row 0 by w^(-1), column 0 by w
+        w_inv = pow(w, -1, m)
+        forms = [
+            [((i - s) % n * n + (j - s) % n, (w_inv if i == 0 else 1) * (w if j == 0 else 1) % m)]
+            for i in range(n)
+            for j in range(n)
+        ]
+        return _compile_linear(forms, m)
+
+    units = unit_group_generators(m)
+    if n == 1:
+        return tuple(scaled_shift(0, u) for u in units)
+    forms = [[(k, 1)] for k in range(n * n)]
+    for r in range(0, n * n, n):
+        forms[r + 1] = forms[r + 1] + [(r, 1)]
+    for c in range(n):
+        forms[c] = forms[c] + [(k, -a) for k, a in forms[n + c]]
+    v = (-1) ** (n - 1) * (units[0] if units else 1) % m
+    further = (scaled_shift(0, u) for u in units[1:])
+    return (_compile_linear(forms, m), scaled_shift(1, v), *further)
 
 
 def _orbit_expand(
@@ -639,9 +710,10 @@ def _orbit_expand(
 
     Forward generators suffice, as in ``generate``: the monoid of these
     conjugations is all of GL(n, Z/m).  Each conjugation permutes the entry
-    tuple or is a row and a column operation on it, so no t^(-1) is ever
-    formed and no matrix is multiplied.  A scalar matrix, every element at
-    n = 1 among them, is its own class, returned before any map is built.
+    tuple and scales a row and a column, or is a row and a column operation
+    on it, so no t^(-1) is ever formed and no matrix is multiplied.  A
+    scalar matrix, every element at n = 1 among them, is its own class,
+    returned before any map is built.
     """
     n, x = rep.n, rep.entries
     if all(e == (x[0] if k % (n + 1) == 0 else 0) for k, e in enumerate(x)):
@@ -657,10 +729,11 @@ def conj_class(rep: ModMatrix, cap: int = DEFAULT_CAP) -> ConjClass:
     set, ``_gl_conjugations(n, m)``, alone, with no inverse conjugators: the
     group is finite, so closing under forward generators reaches every
     element.  Each
-    conjugation by a generator permutes the entries (a permutation matrix)
-    or is one row and one column operation on them (a transvection adds a
-    column and subtracts a row; a diagonal unit scales a column and a row),
-    O(n) instead of two matrix products.  Exceeding ``cap`` raises
+    conjugation by a generator shifts the entries cyclically along both
+    axes and scales a row and a column (a permutation matrix times a
+    diagonal unit), or is one row and one column operation on them (a
+    transvection adds a column and subtracts a row; a diagonal unit scales
+    a column and a row), with no matrix product.  Exceeding ``cap`` raises
     ResourceError.
     """
     orbit, _ = _orbit_expand(rep, cap)

@@ -6,6 +6,7 @@ own search machinery, so it can serve as a cross-check.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -69,23 +70,39 @@ def unimodular_box(n: int, bound: int) -> list[IntegerMatrix]:
 
 def gl_generators(n: int, m: int) -> list[modgrp.ModMatrix]:
     """The generating set of GL(n, Z/m) whose conjugations
-    ``modgrp._gl_conjugations`` builds, as matrices and in its order: the
-    transvection E_01(1), the permutation matrix of the cycle
-    (0 1 ... n-1), and diag(u, 1, ..., 1) for each u of
-    ``modgrp.unit_group_generators(m)``."""
+    ``modgrp._gl_conjugations`` builds, as matrices and in its order.  For
+    n > 1: the transvection E_01(1); t = P diag(v, 1, ..., 1), P the
+    permutation matrix of the cycle (0 1 ... n-1) (row a is e_(a+1), so
+    det P = (-1)^(n-1)) and v = (-1)^(n-1) u_1, so that det t = u_1; and
+    diag(u, 1, ..., 1) for each further u of
+    ``modgrp.unit_group_generators(m)`` = [u_1, u_2, ...] (at m = 2 the
+    list is empty and u_1 = 1).  For n = 1: diag(u) for every u."""
     identity = [int(a == b) for a in range(n) for b in range(n)]
+    units = modgrp.unit_group_generators(m)
     gens = []
     if n > 1:
         entries = list(identity)
         entries[1] = 1
         gens.append(modgrp.ModMatrix(n, m, entries))
-        cycle = [int(b == (a + 1) % n) for a in range(n) for b in range(n)]
-        gens.append(modgrp.ModMatrix(n, m, cycle))
-    for u in modgrp.unit_group_generators(m):
+        v = (-1) ** (n - 1) * (units[0] if units else 1)
+        t = [int(b == (a + 1) % n) * (v if b == 0 else 1) for a in range(n) for b in range(n)]
+        gens.append(modgrp.ModMatrix(n, m, t))
+        units = units[1:]
+    for u in units:
         entries = list(identity)
         entries[0] = u
         gens.append(modgrp.ModMatrix(n, m, entries))
     return gens
+
+
+def reference_digest(n: int, m: int, elements) -> str:
+    """``modgrp.elements_digest`` as one ``%``-format per entry tuple,
+    sorted as text and hashed whole: the digest definition read literally,
+    and the encoder ``elements_digest`` keeps for m > 256."""
+    encode = (f"{n}:{m}:" + ",".join(["%d"] * (n * n))).__mod__
+    # ASCII text sorts as its bytes do
+    body = "\n".join(sorted(map(encode, elements)))
+    return hashlib.sha256(body.encode("ascii")).hexdigest()
 
 
 def mat_mul_mod(a: tuple, b: tuple, n: int, m: int) -> tuple:

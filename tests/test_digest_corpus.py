@@ -28,6 +28,17 @@ HEISENBERG_MOD5 = (125, "df2f7efbea050719d4af21dee5709560f1264b44024e682f8a41272
 SHIFT3 = IntegerMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
 SHIFT3_CLASS_MOD7 = (156408, "d54d5e4528275f111df30f306b096ccf81f1e7ddaa60e823c3bedc0ac732272d")
 
+# (generator, m, class size, class digest) across the byte keys of the
+# digest: m = 11, where a residue's rank among the texts differs from its
+# value; two and three digits (m = 100, 250); and m = 257, past a byte
+ORDER4 = IntegerMatrix([[0, -1], [1, 0]])
+RANKED_CLASSES = [
+    (E12, 11, 15960, "6ed60266fbfb74ad2c8bce4a377dd2d0d6605efc9ce06eb7e034146ba207d523"),
+    (U, 100, 7200, "0bedb0ebca598eb4ca85ad4acc5916321b896e1819fbf5d9f5cb596535d8a75f"),
+    (U, 250, 45000, "59b70d757bea06a140fba4a88525fa99fa59346f18b8886dfe6bb87c79e0325d"),
+    (ORDER4, 257, 66306, "edf0d93252aeba4c0b69e935e4b216d869aafc7dedfbee7d2acffccf7e63b61a"),
+]
+
 FLAGSHIP_CERT_SHA256 = "035e2c70baa353e259bf6f743791cb016892bbfde7609dbccff720dc0b8623cc"
 
 # [order, modulus, class_size, class_digest] per nontrivial n = 3 table entry
@@ -58,6 +69,12 @@ def test_heisenberg_image_mod5_digest():
 def test_shift3_class_mod7_digest():
     cls = modgrp.conj_class(modgrp.reduce(SHIFT3, 7))
     assert (cls.size, cls.digest()) == SHIFT3_CLASS_MOD7
+
+
+def test_class_digests_across_digit_widths():
+    for g, m, size, digest in RANKED_CLASSES:
+        cls = modgrp.conj_class(modgrp.reduce(g, m))
+        assert (cls.size, cls.digest()) == (size, digest), m
 
 
 def test_klein_bottle_per_rep_classes():
