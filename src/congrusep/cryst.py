@@ -169,7 +169,7 @@ class CrystGroup:
         # subgroup, and each is the translation by the difference of the two
         # translation parts, as w_h a and w_(h S_a) share their holonomy part
         schreier = _schreier_generators(
-            tree, *walk, lambda wa, w: [x - y for x, y in zip(wa.t, w.t)], lambda w: w
+            tree, *walk, lambda wa, w: [x - y for x, y in zip(wa.t, w.t)], tree.__getitem__
         )
         basis = lattice_basis(list(schreier), m)
         if len(basis) != m:

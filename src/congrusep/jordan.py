@@ -266,15 +266,18 @@ def is_virtually_unipotent_witness(gens: list[IntegerMatrix], cap: int) -> bool:
        kernel N is unipotent.  N mod 3 is a 3-group, of order at most
        3^(n(n-1)/2), and |G mod 3| <= [G : N] |N mod 3| <= B(n).
     3. K is generated by the Schreier generators s = w_x g w_(xg)^-1 over
-       the lifts w_x formed along that tree (``_schreier_generators``), and it
-       is unipotent iff W_0 = Q^n, W_(k+1) = sum_s (s - I) W_k reaches 0:
-       Kolchin's flag contains the W_k, and conversely each s acts trivially
-       on every W_k / W_(k+1), so s^-1 and every product do too.  The chain
-       decreases, so it reaches 0 within n steps if at all, and it depends
-       only on the span of the s - I.  Only the s that enlarge the span are
-       kept; one whose characteristic polynomial is not (x - 1)^n refutes
-       at once, and so does a span of dimension over n(n-1)/2, as a
-       unipotent K is strictly upper triangular in Kolchin's flag.
+       the lifts w_x formed along that tree (``_schreier_generators``).
+       Each lift carries its inverse along the tree, by columns: (w g)^-1 =
+       g^-1 w^-1 is one product by g^-1, so no lift is inverted by an
+       adjugate.  K is unipotent iff W_0 = Q^n, W_(k+1) = sum_s (s - I) W_k
+       reaches 0: Kolchin's flag contains the W_k, and conversely each s
+       acts trivially on every W_k / W_(k+1), so s^-1 and every product do
+       too.  The chain decreases, so it reaches 0 within n steps if at all,
+       and it depends only on the span of the s - I.  Only the s that
+       enlarge the span are kept; one whose characteristic polynomial is
+       not (x - 1)^n refutes at once, and so does a span of dimension over
+       n(n-1)/2, as a unipotent K is strictly upper triangular in Kolchin's
+       flag.
     """
     if not gens:
         return True
@@ -294,19 +297,24 @@ def is_virtually_unipotent_witness(gens: list[IntegerMatrix], cap: int) -> bool:
     distinct = list(dict.fromkeys(gens))
     residue_maps = [_right_multiplication(reduce(g, 3)) for g in distinct]
     times = [partial(_times_columns, cols=tuple(zip(*g.entries))) for g in distinct]
+    # (w g)^-1 = g^-1 w^-1, whose columns are those of w^-1 times the rows of g^-1
+    inverse_times = [partial(_times_columns, cols=g.unimodular_inverse().entries) for g in distinct]
     eye = IntegerMatrix.identity(n)
     try:
-        lifts = _schreier_transversal(reduce(eye, 3).entries, eye.entries, residue_maps, times,
-                                      min(bound, cap), "lifting the mod-3 image")
+        tree = _schreier_transversal(
+            reduce(eye, 3).entries, (eye.entries, eye.entries), residue_maps,
+            [lambda lift, f=f, f_inv=f_inv: (f(lift[0]), f_inv(lift[1]))
+             for f, f_inv in zip(times, inverse_times)],
+            min(bound, cap), "lifting the mod-3 image",
+        )
     except ResourceError:  # raised by the walk, before any lift is formed
         if cap < bound:
             raise
         return False
+    lifts = {key: w for key, (w, _) in tree.items()}
+    inverses = {key: w_inv for key, (_, w_inv) in tree.items()}  # w^-1 by columns
     span, kept = [], []  # an echelon basis of the s - I, and those that enlarged it
-    for s in _schreier_generators(
-        lifts, residue_maps, times, _times_columns,
-        lambda w: tuple(zip(*IntegerMatrix(w).unimodular_inverse().entries)),  # w^-1 by columns
-    ):
+    for s in _schreier_generators(lifts, residue_maps, times, _times_columns, inverses.__getitem__):
         x = [[a - (i == j) for j, a in enumerate(row)] for i, row in enumerate(s)]
         if _echelon_insert(span, [a for row in x for a in row]):
             if len(span) > n * (n - 1) // 2 or char_poly(IntegerMatrix(s)).coeffs != target:

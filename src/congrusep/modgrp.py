@@ -24,29 +24,34 @@ the mixed-radix-m number of its row-major residues (``_pack``): it is the
 largest set the program builds, and an int costs about half a tuple.  A
 conjugacy class (``ConjClass.orbit``) holds flat entry tuples (row-major
 residues in [0, m)), the body of the encoding above, because its
-conjugation maps, compiled once per (n, m), act on tuples and packing each
-candidate costs more time than the class saves in memory.  A class closes
+conjugations act on tuples and packing each new element costs more time
+than the class saves in memory: closing and digesting the 15,500 elements
+of the m = 5 class of the 3-cycle took 49-51 ms packed against 24 ms as
+tuples (fastest of 20 runs each, 2 CPUs, Python 3.11.7).  A class closes
 under conjugation by E_01(1), by P diag(v, 1, ..., 1) with P the n-cycle
 and v = (-1)^(n-1) u_1, whose determinant is u_1, and by
 diag(u, 1, ..., 1) for the further generators u of (Z/m)^*: the powers of
 the second carry E_01(1) to every E_i,i+1(unit), whose powers and
 commutators generate SL(n, Z/m), and the determinants generate (Z/m)^*
-(``_gl_conjugations``).  Right multiplications x -> x t by generators and
-the conjugations of classes are both linear forms in the entries,
-compiled by the one ``_compile_linear`` and kept for the last
-``_COMPILED_KEPT`` generators t and pairs (n, m) respectively.
-``ModMatrix`` objects are made only for single elements such as
-generators and representatives.  A digest sorts one byte key per
-element, each residue replaced by its rank among the residues' decimal
-texts, so that byte order is the order of the encodings, and hashes the
-body a block of lines at a time (``elements_digest``); only above
-m = 256, where a residue does not fit in a byte, are the encodings
-formatted and sorted as text.  Subgroups and classes are built by the one
-breadth-first loop ``_closure``, and every Schreier transversal
-(crystallographic holonomy witnesses, the lifts of a level-1 image, the
-mod-3 image of the virtual-unipotency decision with its lifts) by the
-Schreier tree of ``_schreier_transversal``; nothing outside this module
-reads either set directly.
+(``_conjugation_forms``).  Right multiplications x -> x t by generators
+and the conjugations of classes are both linear forms in the entries.
+Subgroup images and classes are closed by one breadth-first loop per map
+set, compiled by ``_compile_closure`` with every map inlined as a tuple
+expression, and kept for the last ``_COMPILED_KEPT`` generator tuples
+(``_image_closure``) and pairs (n, m) (``_gl_conjugations``); the
+Schreier walks multiply by generators compiled one at a time by
+``_compile_linear`` (``_right_multiplication``).  ``ModMatrix`` objects
+are made only for single elements such as generators and
+representatives.  A digest sorts one byte key per element, each residue
+replaced by its rank among the residues' decimal texts, so that byte
+order is the order of the encodings, and hashes the body a block of
+lines at a time (``elements_digest``); only above m = 256, where a
+residue does not fit in a byte, are the encodings formatted and sorted
+as text.  Every Schreier transversal (crystallographic holonomy
+witnesses, the lifts of a level-1 image, the mod-3 image of the
+virtual-unipotency decision with its lifts) is built by the Schreier
+tree of ``_schreier_transversal``; nothing outside this module reads
+either set directly.
 """
 
 from __future__ import annotations
@@ -79,55 +84,6 @@ from .exactlin import (
 DEFAULT_CAP = 10**7
 
 
-def _closure(start, maps, cap: int, what: str, stop=None, key=None) -> tuple[set, bool]:
-    """Breadth-first closure of {start} under the given maps.
-
-    Returns (closure, False), or (partial, True) as soon as an element lies
-    in ``stop`` (``start`` included).  More than ``cap`` elements raise
-    ResourceError carrying the partial size; ``what`` names the computation
-    in its message.
-
-    The maps act on elements as given; with ``key`` the returned set holds
-    ``key(y)`` for each element y instead of y (``stop`` is still tested on
-    y).  ``generate`` packs subgroup elements this way, while the frontier
-    keeps the entry tuples that its right multiplications act on; those
-    are compiled by ``_compile_linear`` like the conjugations of an orbit,
-    and kept for the last ``_COMPILED_KEPT`` generators
-    (``_right_multiplication``).  Orbits pass no key: an orbit packs
-    one candidate per conjugation and unpacks every element for its
-    digest, so closing and digesting the 15,500 elements of the m = 5
-    class of the 3-cycle under the two compiled conjugations of
-    ``_gl_conjugations``, digested from byte keys by ``elements_digest``,
-    took 56-60 ms packed against 23-30 ms as tuples (20 runs each, 2 CPUs,
-    Python 3.11.7).
-
-    The set is returned as built, not copied: a frozen copy would double
-    the hash table at the peak.  Callers never mutate it.
-    """
-    seen = {start if key is None else key(start)}
-    if stop is not None and start in stop:
-        return seen, True
-    frontier = [start]
-    while frontier:
-        new_frontier = []
-        for x in frontier:
-            for f in maps:
-                y = f(x)
-                k = y if key is None else key(y)
-                if k not in seen:
-                    seen.add(k)
-                    if stop is not None and y in stop:
-                        return seen, True
-                    if len(seen) > cap:
-                        raise ResourceError(
-                            f"element budget {cap} exceeded while {what}",
-                            partial_size=len(seen),
-                        )
-                    new_frontier.append(y)
-        frontier = new_frontier
-    return seen, False
-
-
 def _schreier_transversal(start_key, start, key_maps, lift_maps, cap: int, what: str) -> dict:
     """{key: lift} for the keys a breadth-first walk from ``start_key`` under
     ``key_maps`` reaches (more than ``cap`` raise ResourceError), each lift
@@ -157,17 +113,18 @@ def _schreier_transversal(start_key, start, key_maps, lift_maps, cap: int, what:
 
 def _schreier_generators(lifts: dict, key_maps, lift_maps, times, inverse) -> Iterator:
     """Each Schreier generator s = w_x g w_(xg)^(-1) != I of the kernel, as
-    times(w_x g, inverse(w_(xg))), over the lifts w of
-    ``_schreier_transversal`` in its order, with x g read off ``key_maps``
-    and w_x g formed by ``lift_maps``.  A lift is inverted once, when an s
-    first needs it: <U> mod p inverts one lift, not p."""
+    times(w_x g, inverse(x g)), over the lifts w of ``_schreier_transversal``
+    in its order, with x g read off ``key_maps``, w_x g formed by
+    ``lift_maps`` and ``inverse`` giving the inverse of the lift of a key.
+    It is asked once per key, when an s first needs it: <U> mod p inverts
+    one lift, not p."""
     inverses: dict = {}
     for x, w in lifts.items():
         for f, g in zip(key_maps, lift_maps):
             key, wg = f(x), g(w)
             if wg != lifts[key]:
                 if key not in inverses:
-                    inverses[key] = inverse(lifts[key])
+                    inverses[key] = inverse(key)
                 yield times(wg, inverses[key])
 
 
@@ -415,8 +372,8 @@ class ModMatrixGroup:
     """The subgroup of GL(n, Z/m) generated by a finite set of elements.
 
     ``elements`` is the complete element set, each element packed into one
-    int by ``_pack``; it is the set ``_closure`` built, never mutated
-    afterwards.  Callers go through ``entry_tuples``, ``in`` and
+    int by ``_pack``; it is the set its compiled closure built, never
+    mutated afterwards.  Callers go through ``entry_tuples``, ``in`` and
     ``isdisjoint``, which keep the format inside this module.
     """
 
@@ -478,10 +435,11 @@ def generate(
     """Breadth-first closure of gens under right multiplication by gens.
 
     Forward generators suffice: in a finite group every g has g^k = g^(-1)
-    for k = ord(g) - 1, so the monoid generated by gens is the group.  Each
-    distinct generator's right multiplication is compiled by
-    ``_right_multiplication`` into sums over its nonzero entries, or taken
-    from its cache; no matrix product is formed per element.
+    for k = ord(g) - 1, so the monoid generated by gens is the group.  The
+    closure is the packed one of ``_image_closure`` for the tuple of
+    distinct generators, compiled once per tuple: each generator's right
+    multiplication is inlined as sums over its nonzero entries, and no
+    matrix product is formed per element.
 
     ``n`` and ``m`` are required only when gens is empty (trivial group).
     Exceeding ``cap`` elements raises ResourceError carrying the partial size.
@@ -493,11 +451,9 @@ def generate(
             raise DimensionMismatchError("generators must share dimension and modulus")
     elif n is None or m is None:
         raise InputError("generating the trivial group needs explicit n and m")
-    multipliers = [_right_multiplication(t) for t in dict.fromkeys(gens)]
     identity = ModMatrix.identity(n, m).entries
-    elements, _ = _closure(
-        identity, multipliers, cap, "generating subgroup", key=partial(_pack, m=m)
-    )
+    closure = _image_closure(n, m, tuple(dict.fromkeys(gens)))
+    elements, _ = closure(identity, cap, "generating subgroup")
     return ModMatrixGroup(n, m, elements)
 
 
@@ -561,8 +517,8 @@ def gl_order(n: int, m: int) -> int:
 class ConjClass:
     """The full GL(n, Z/m)-conjugacy orbit of a representative.
 
-    ``orbit`` holds flat entry tuples; it is the set ``_closure`` built,
-    never mutated afterwards.
+    ``orbit`` holds flat entry tuples; it is the set its compiled closure
+    built, never mutated afterwards.
     """
 
     __slots__ = ("n", "m", "representative", "orbit", "_digest")
@@ -596,64 +552,165 @@ class ConjClass:
         return [_rows(x, self.n) for x in sorted(self.orbit)]
 
 
-#: Most maps each compiling cache keeps: the right multiplications of
-#: ``_right_multiplication`` by distinct t, and the conjugations of
-#: ``_gl_conjugations`` for distinct (n, m).
+#: Most compiled functions each compiling cache keeps: the right
+#: multiplications of ``_right_multiplication`` by distinct t, the image
+#: closures of ``_image_closure`` for distinct generator tuples, and the class
+#: closures of ``_gl_conjugations`` for distinct (n, m).
 _COMPILED_KEPT = 32
 
+#: Linear forms on flat entry tuples, one per entry: entry k of the image of
+#: x is the sum of c x[i] mod m over the pairs (i, c) of forms[k].
+_Forms = list[list[tuple[int, int]]]
 
-def _compile_linear(
-    forms: list[list[tuple[int, int]]], m: int
-) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+
+def _form_source(form: list[tuple[int, int]], m: int, entry: str) -> str:
+    """The source of one linear form, x[i] written as ``entry % i``: a form
+    whose one pair is (i, 1) is the copy x[i], and an empty form is 0.
+    Only integers formatted with ``%d`` enter it."""
+    if not form:  # a zero column of a right multiplication
+        return "0"
+    if len(form) == 1 and form[0][1] == 1:
+        return entry % form[0][0]
+
+    def term(i: int, c: int) -> str:
+        x = entry % i
+        return "+" + x if c == 1 else "-" + x if c == -1 else "+%s*%d" % (x, c)
+
+    return "(%s)%%%d" % ("".join(term(i, c) for i, c in form).lstrip("+"), m)
+
+
+def _compile_linear(forms: _Forms, m: int) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
     """The map x -> y on flat entry tuples with y[k] the sum of c x[i] mod m
     over the pairs (i, c) of forms[k], compiled into one straight-line tuple
-    expression; an entry whose one pair is (i, 1) is the copy x[i], and an
-    empty form is 0.  The source holds integer literals alone, each
-    formatted with ``%d``."""
-    parts = []
-    for form in forms:
-        if not form:  # a zero column of a right multiplication
-            parts.append("0")
-            continue
-        if len(form) == 1 and form[0][1] == 1:
-            parts.append("x[%d]" % form[0][0])
-            continue
-        terms = "".join(
-            "+x[%d]" % i if c == 1 else "-x[%d]" % i if c == -1 else "+x[%d]*%d" % (i, c)
-            for i, c in form
-        )
-        parts.append("(%s)%%%d" % (terms.lstrip("+"), m))
-    return eval("lambda x: (%s,)" % ",".join(parts), {"__builtins__": {}})
+    expression."""
+    source = ",".join(_form_source(form, m, "x[%d]") for form in forms)
+    return eval("lambda x: (%s,)" % source, {"__builtins__": {}})
 
 
-@lru_cache(maxsize=_COMPILED_KEPT)
-def _right_multiplication(t: ModMatrix) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """The map x -> x t mod m on flat entry tuples, compiled by
-    ``_compile_linear``.
+# The source of a compiled closure; {body} is one _CANDIDATE per map: the
+# candidate's entries {y}, its key {key}, and {new}, the line that forms
+# its tuple when only the entries were computed.
+_CLOSURE = """\
+def closure(start, cap, what, stop=None):
+    seen = {{{start}}}
+    if stop is not None and start in stop:
+        return seen, True
+    add, count, frontier = seen.add, 1, [start]
+    while frontier:
+        reached = []
+        push = reached.append
+        for {unpack}, in frontier:
+{body}
+        frontier = reached
+    return seen, False
+"""
+
+_CANDIDATE = """\
+            {y}
+            add({key})
+            if len(seen) != count:
+                count += 1
+{new}                if stop is not None and y in stop:
+                    return seen, True
+                if count > cap:
+                    raise ResourceError(
+                        f"element budget {{cap}} exceeded while {{what}}", partial_size=count
+                    )
+                push(y)
+"""
+
+
+def _compile_closure(maps: list[_Forms], n: int, m: int, packed: bool) -> Callable:
+    """closure(start, cap, what, stop=None): the breadth-first closure of
+    {start}, a flat entry tuple of an n x n matrix, under the linear maps
+    given by their ``maps`` forms mod m, compiled into one straight-line
+    loop (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+    ch. 4).
+
+    The closure returns (closure, False), or (partial, True) as soon as an
+    element lies in ``stop`` (``start`` included).  More than ``cap``
+    elements raise ResourceError carrying the partial size, cap + 1;
+    ``what`` names the computation in its message.  The elements are entry
+    tuples, or with ``packed`` their ``_pack`` ints, while the frontier and
+    ``stop`` hold entry tuples.  The set is returned as built, not copied: a
+    frozen copy would double the hash table at the peak, and callers never
+    mutate it.
+
+    Each frontier element is unpacked once into the locals x0, x1, ...,
+    each map is inlined as its tuple expression, and each candidate is
+    added to the set once, ``len`` telling whether it was new: one hash per
+    candidate.  Packed, the key is an inline Horner expression over the
+    candidate's entries, copies read straight from the x locals and the
+    rest computed once into y locals, so that the tuple is formed only for
+    a new element; above 16 entries, where ``_pack`` splits in halves, it is
+    one ``_pack(y, m)`` call on the tuple.  The source holds integer
+    literals alone, each formatted with ``%d``.
+    """
+    k = n * n
+    body = []
+    for forms in maps:
+        entries = [_form_source(form, m, "x%d") for form in forms]
+        if packed and k <= 16:
+            # copies and zeros are read in place, the rest computed once
+            names = [e if e == "0" or e[1:].isdigit() else "y%d" % i for i, e in enumerate(entries)]
+            y = "; ".join("%s = %s" % (v, e) for v, e in zip(names, entries) if v != e) or "pass"
+            key = names[0]
+            for v in names[1:]:
+                key = "(%s)*%d+%s" % (key, m, v)
+            new = "                y = (%s,)\n" % ",".join(names)
+        else:
+            y = "y = (%s,)" % ",".join(entries)
+            key = "_pack(y, %d)" % m if packed else "y"
+            new = ""
+        body.append(_CANDIDATE.format(y=y, key=key, new=new))
+    source = _CLOSURE.format(
+        start="_pack(start, %d)" % m if packed else "start",
+        unpack=",".join("x%d" % i for i in range(k)),
+        body="".join(body) or "            pass",
+    )
+    namespace = {"__builtins__": {}, "len": len, "ResourceError": ResourceError, "_pack": _pack}
+    exec(source, namespace)
+    return namespace["closure"]
+
+
+def _right_forms(t: ModMatrix) -> _Forms:
+    """The forms of x -> x t mod m on flat entry tuples.
 
     Entry (i, j) of x t is the sum of x[i][k] t[k][j] over the k with
     t[k][j] != 0, so each column's nonzero pairs (k, t[k][j]) are collected
     once and shifted to row i.  Generators are mostly zeros and ones, so
     this is a few additions per element instead of the n^3 index arithmetic
-    of ``_product``.  The maps of the last ``_COMPILED_KEPT`` distinct t are
-    kept, as compiling one costs about as much as a few hundred
-    multiplications by it.
-    """
+    of ``_product``."""
     n = t.n
     columns = [[(k, c) for k in range(n) if (c := t.entries[k * n + j])] for j in range(n)]
-    forms = [[(i + k, c) for k, c in column] for i in range(0, n * n, n) for column in columns]
-    return _compile_linear(forms, t.m)
+    return [[(i + k, c) for k, c in column] for i in range(0, n * n, n) for column in columns]
 
 
 @lru_cache(maxsize=_COMPILED_KEPT)
-def _gl_conjugations(n: int, m: int) -> tuple[Callable[[tuple[int, ...]], tuple[int, ...]], ...]:
-    """The maps x -> t^(-1) x t on flat entry tuples, for t running over a
-    generating set of GL(n, Z/m), in this order: the transvection E_01(1);
-    t = P diag(v, 1, ..., 1), P the permutation matrix of the cycle
-    (0 1 ... n-1) and v = (-1)^(n-1) u_1; and diag(u, 1, ..., 1) for each
-    further u of ``unit_group_generators(m)`` = [u_1, u_2, ...], one unit
-    per cyclic factor of (Z/m)^* (u_1 = 1 when the group is trivial, at
-    m = 2).  At n = 1 they are diag(u) for every u.
+def _right_multiplication(t: ModMatrix) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The map x -> x t mod m on flat entry tuples (``_right_forms``),
+    compiled by ``_compile_linear``, for the Schreier walks.  The maps of
+    the last ``_COMPILED_KEPT`` distinct t are kept, as compiling one costs
+    about as much as a few hundred multiplications by it."""
+    return _compile_linear(_right_forms(t), t.m)
+
+
+@lru_cache(maxsize=_COMPILED_KEPT)
+def _image_closure(n: int, m: int, gens: tuple[ModMatrix, ...]) -> Callable:
+    """The packed closure of ``_compile_closure`` under the right
+    multiplications x -> x t (``_right_forms``) by the distinct generators
+    ``gens``, in their order, kept for the last ``_COMPILED_KEPT`` tuples."""
+    return _compile_closure([_right_forms(t) for t in gens], n, m, packed=True)
+
+
+def _conjugation_forms(n: int, m: int) -> list[_Forms]:
+    """The forms of the maps x -> t^(-1) x t on flat entry tuples, for t
+    running over a generating set of GL(n, Z/m), in this order: the
+    transvection E_01(1); t = P diag(v, 1, ..., 1), P the permutation
+    matrix of the cycle (0 1 ... n-1) and v = (-1)^(n-1) u_1; and
+    diag(u, 1, ..., 1) for each further u of ``unit_group_generators(m)`` =
+    [u_1, u_2, ...], one unit per cyclic factor of (Z/m)^* (u_1 = 1 when the
+    group is trivial, at m = 2).  At n = 1 they are diag(u) for every u.
 
     Why they generate: det P = (-1)^(n-1), so det t = u_1.  Conjugating
     E_01(1) by the powers of t gives E_i,i+1(w) for every i mod n, w a
@@ -664,46 +721,51 @@ def _gl_conjugations(n: int, m: int) -> tuple[Callable[[tuple[int, ...]], tuple[
     is needed: with v = u_1, at n = 2 and m = 4 or 7, det t = -u_1 is 1 or
     of order 3, and the set generates a proper subgroup.
 
-    Each map is built from (n, m) alone, with no matrix formed, and
-    compiled by ``_compile_linear`` into one tuple expression.  Conjugation
-    by E_01(1) adds column 0 to column 1, then subtracts row 1 from row 0,
-    O(n) changed entries beside the copied rest.  By t it takes entry (i, j)
-    from ((i-1) mod n, (j-1) mod n), then scales row 0 by v^(-1) and column
-    0 by v; by diag(u, 1, ...) it scales row 0 by u^(-1) and column 0 by u,
-    each time the corner left as it is.  Folding the cycle into u_1 closes
-    a class at prime m under two maps instead of three.  The maps of the
-    last ``_COMPILED_KEPT`` pairs (n, m) are kept, so an orbit compiles
-    nothing that an earlier orbit at its (n, m) compiled.
+    Each map is built from (n, m) alone, with no matrix formed.
+    Conjugation by E_01(1) adds column 0 to column 1, then subtracts row 1
+    from row 0, O(n) changed entries beside the copied rest.  By t it takes
+    entry (i, j) from ((i-1) mod n, (j-1) mod n), then scales row 0 by
+    v^(-1) and column 0 by v; by diag(u, 1, ...) it scales row 0 by u^(-1)
+    and column 0 by u, each time the corner left as it is.  Folding the
+    cycle into u_1 closes a class at prime m under two maps instead of
+    three.
     """
     m = int(m)
 
-    def scaled_shift(s: int, w: int) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    def scaled_shift(s: int, w: int) -> _Forms:
         # entry (i, j) from ((i-s) mod n, (j-s) mod n), row 0 by w^(-1), column 0 by w
         w_inv = pow(w, -1, m)
-        forms = [
+        return [
             [((i - s) % n * n + (j - s) % n, (w_inv if i == 0 else 1) * (w if j == 0 else 1) % m)]
             for i in range(n)
             for j in range(n)
         ]
-        return _compile_linear(forms, m)
 
     units = unit_group_generators(m)
     if n == 1:
-        return tuple(scaled_shift(0, u) for u in units)
+        return [scaled_shift(0, u) for u in units]
     forms = [[(k, 1)] for k in range(n * n)]
     for r in range(0, n * n, n):
         forms[r + 1] = forms[r + 1] + [(r, 1)]
     for c in range(n):
         forms[c] = forms[c] + [(k, -a) for k, a in forms[n + c]]
     v = (-1) ** (n - 1) * (units[0] if units else 1) % m
-    further = (scaled_shift(0, u) for u in units[1:])
-    return (_compile_linear(forms, m), scaled_shift(1, v), *further)
+    return [forms, scaled_shift(1, v), *(scaled_shift(0, u) for u in units[1:])]
+
+
+@lru_cache(maxsize=_COMPILED_KEPT)
+def _gl_conjugations(n: int, m: int) -> Callable:
+    """The class closure of ``_compile_closure`` under the conjugations of
+    ``_conjugation_forms(n, m)``.  The closures of the last
+    ``_COMPILED_KEPT`` pairs (n, m) are kept, so an orbit compiles nothing
+    that an earlier orbit at its (n, m) compiled."""
+    return _compile_closure(_conjugation_forms(n, m), n, m, packed=False)
 
 
 def _orbit_expand(
     rep: ModMatrix, cap: int, stop_inside: frozenset[tuple[int, ...]] | None = None
 ) -> tuple[set[tuple[int, ...]], bool]:
-    """BFS conjugation orbit of rep, as entry tuples, under the conjugations
+    """BFS conjugation orbit of rep, as entry tuples, by the class closure
     of ``_gl_conjugations``.  With ``stop_inside`` (a set of entry tuples)
     given, aborts as soon as an orbit element lies in that set, returning
     (partial, True).
@@ -713,28 +775,26 @@ def _orbit_expand(
     tuple and scales a row and a column, or is a row and a column operation
     on it, so no t^(-1) is ever formed and no matrix is multiplied.  A
     scalar matrix, every element at n = 1 among them, is its own class,
-    returned before any map is built.
+    returned before any closure is built.
     """
     n, x = rep.n, rep.entries
     if all(e == (x[0] if k % (n + 1) == 0 else 0) for k, e in enumerate(x)):
         return {x}, stop_inside is not None and x in stop_inside
-    conjugations = _gl_conjugations(n, rep.m)
-    return _closure(x, conjugations, cap, "expanding orbit", stop_inside)
+    return _gl_conjugations(n, rep.m)(x, cap, "expanding orbit", stop_inside)
 
 
 def conj_class(rep: ModMatrix, cap: int = DEFAULT_CAP) -> ConjClass:
     """Orbit of ``rep`` under conjugation by all of GL(n, Z/m).
 
     Computed as the closure under the conjugations by a fixed generating
-    set, ``_gl_conjugations(n, m)``, alone, with no inverse conjugators: the
-    group is finite, so closing under forward generators reaches every
-    element.  Each
-    conjugation by a generator shifts the entries cyclically along both
-    axes and scales a row and a column (a permutation matrix times a
-    diagonal unit), or is one row and one column operation on them (a
-    transvection adds a column and subtracts a row; a diagonal unit scales
-    a column and a row), with no matrix product.  Exceeding ``cap`` raises
-    ResourceError.
+    set, ``_conjugation_forms(n, m)``, alone, with no inverse conjugators:
+    the group is finite, so closing under forward generators reaches every
+    element.  Each conjugation by a generator shifts the entries cyclically
+    along both axes and scales a row and a column (a permutation matrix
+    times a diagonal unit), or is one row and one column operation on them
+    (a transvection adds a column and subtracts a row; a diagonal unit
+    scales a column and a row), with no matrix product.  Exceeding ``cap``
+    raises ResourceError.
     """
     orbit, _ = _orbit_expand(rep, cap)
     return ConjClass(rep, orbit)
@@ -877,7 +937,7 @@ def _kernel_basis(
             layers[i].append((pivot, [a * e % p for a in v], {1: b}, b_inv))
 
     for s in _schreier_generators(lifts, residue_maps, multipliers, mul,
-                                  lambda w: ModMatrix._raw(n, q, w).inverse().entries):
+                                  lambda key: ModMatrix._raw(n, q, lifts[key]).inverse().entries):
         absorb(s)
         if _saturated(layers, n, p):
             break

@@ -16,7 +16,7 @@ from math import lcm
 
 from congrusep import modgrp
 from congrusep.cryst import AffineElement, CrystGroup, lift_to_gl
-from congrusep.errors import InputError
+from congrusep.errors import InputError, ResourceError
 from congrusep.exactlin import (
     IntegerMatrix,
     Polynomial,
@@ -149,6 +149,48 @@ def brute_force_closure(gens: list[tuple], n: int, m: int) -> set[tuple]:
         if not new:
             return elements
         elements |= new
+
+
+def reference_closure(start, maps, cap: int, what: str, stop=None, key=None) -> tuple[set, bool]:
+    """Breadth-first closure of {start} under the given maps, the
+    interpreted loop the compiled closures of ``modgrp._compile_closure``
+    replace (oracle: one call per map, two hashes per new element).
+
+    Returns (closure, False), or (partial, True) as soon as an element lies
+    in ``stop`` (``start`` included).  More than ``cap`` elements raise
+    ResourceError carrying the partial size; ``what`` names the computation
+    in its message.  With ``key`` the returned set holds ``key(y)`` for
+    each element y instead of y (``stop`` is still tested on y).
+    """
+    seen = {start if key is None else key(start)}
+    if stop is not None and start in stop:
+        return seen, True
+    frontier = [start]
+    while frontier:
+        new_frontier = []
+        for x in frontier:
+            for f in maps:
+                y = f(x)
+                k = y if key is None else key(y)
+                if k not in seen:
+                    seen.add(k)
+                    if stop is not None and y in stop:
+                        return seen, True
+                    if len(seen) > cap:
+                        raise ResourceError(
+                            f"element budget {cap} exceeded while {what}",
+                            partial_size=len(seen),
+                        )
+                    new_frontier.append(y)
+        frontier = new_frontier
+    return seen, False
+
+
+def linear_map(forms: list, m: int):
+    """The map x -> y with y[k] the sum of c x[i] mod m over the pairs
+    (i, c) of forms[k], evaluated term by term (oracle for the compiled
+    sources of ``modgrp._compile_linear`` and ``modgrp._compile_closure``)."""
+    return lambda x: tuple(sum(c * x[i] for i, c in form) % m for form in forms)
 
 
 def padic_level_image(

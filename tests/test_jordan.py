@@ -539,8 +539,9 @@ def test_sl2z_from_s_and_u_is_refuted_before_the_walk_ends(monkeypatch):
 @pytest.mark.parametrize("gens", [[U], HEIS3 + [-IntegerMatrix.identity(3)], klein_bottle_lift()],
                          ids=["U", "heisenberg,-I", "klein-bottle"])
 def test_step_3_inverts_each_lift_at_most_once_and_only_when_used(monkeypatch, gens):
-    # lifts are inverted by an adjugate once per residue key that a
-    # nontrivial Schreier generator needs, never once per lift up front
+    # no lift is inverted by an adjugate: each carries its inverse along the
+    # tree, one product by g^-1 per edge, so an adjugate is taken once per
+    # distinct generator, no more than the keys a Schreier generator needs
     n = gens[0].n
     calls = []
     adjugate = exactlin._adjugate_inverse
@@ -564,9 +565,32 @@ def test_step_3_inverts_each_lift_at_most_once_and_only_when_used(monkeypatch, g
     monkeypatch.setattr(exactlin, "_adjugate_inverse", counted)
     monkeypatch.setattr(jordan, "_adjugate_inverse", counted, raising=False)
     assert is_virtually_unipotent_witness(gens, CAP)
-    assert len(calls) <= len(used)
+    assert len(calls) == len(distinct) <= len(used)
     if gens == [U]:
         assert (len(lifts), len(calls)) == (3, 1)  # only U^3 = U^2 U is a nontrivial s
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_step_3_carries_each_lift_inverse_along_the_tree(rng):
+    # the inverse carried to each key, by columns, is the adjugate inverse
+    # of its lift, and the lift times it is I
+    gens = _seeded_group(rng)
+    walks = []
+    walk = jordan._schreier_generators
+
+    def recorded(lifts, key_maps, lift_maps, times, inverse):
+        walks.append({key: (w, inverse(key)) for key, w in lifts.items()})
+        return walk(lifts, key_maps, lift_maps, times, inverse)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jordan, "_schreier_generators", recorded)
+        is_virtually_unipotent_witness(gens, CAP)
+    assume(walks)  # step 3 was reached
+    eye = IntegerMatrix.identity(gens[0].n).entries
+    for w, w_inv in walks[0].values():
+        assert jordan._times_columns(w, w_inv) == eye
+        assert w_inv == tuple(zip(*IntegerMatrix(w).unimodular_inverse().entries))
 
 
 def _walks(monkeypatch):

@@ -18,9 +18,13 @@ from congrusep.errors import (
 from congrusep.exactlin import IntegerMatrix, RationalMatrix
 from congrusep.modgrp import (
     DenominatorNotUnitError,
+    _compile_closure,
+    _conjugation_forms,
     _gl_conjugations,
+    _image_closure,
     _orbit_expand,
     _pack,
+    _right_forms,
     _right_multiplication,
     _unpack,
     ModMatrix,
@@ -41,10 +45,12 @@ from helpers import (
     gl_generators,
     keyed_transversal,
     leibniz_det,
+    linear_map,
     mat_mul_mod,
     padic_level_image,
     principal_minor_sums,
     random_gl_element,
+    reference_closure,
     reference_digest,
     signed_permutation_matrices,
     traced_peak,
@@ -362,14 +368,104 @@ def test_closure_to_a_depth_is_the_word_set(gens, depth):
 
 
 def test_closure_past_its_diameter_is_the_whole_closure():
-    maps = [_right_multiplication(reduce(g, 3)) for g in (U, L)]
-    start = reduce(IntegerMatrix.identity(2), 3).entries
-    whole, stopped = modgrp._closure(start, maps, 10**6, "testing")
-    assert not stopped and len(whole) == 24  # SL(2, Z/3)
     letters = [reduce(U, 3), reduce(L, 3)]
     eye = ModMatrix.identity(2, 3)
-    assert {w.entries for w in words_by_level(letters, 100, eye)} == whole
+    whole, stopped = _image_closure(2, 3, tuple(letters))(eye.entries, 10**6, "testing")
+    assert not stopped and len(whole) == 24  # SL(2, Z/3)
+    assert {_pack(w.entries, 3) for w in words_by_level(letters, 100, eye)} == whole
     assert len(words_by_level(letters, 1, eye)) == 3
+
+
+_CLOSURE_MODULI = [*range(2, 31), 257, 2**64 + 13]
+
+
+@st.composite
+def _closure_cases(draw):
+    """Hypothesis: (n, m, gens, rep, cap) with n <= 5 (packing splits in
+    halves above n = 4), 0-3 generators, a duplicate among them at times,
+    drawn from signed permutations, elementary transvections and short
+    random words, and a class representative."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5]))
+    m = draw(st.sampled_from(_CLOSURE_MODULI))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pool = signed_permutation_matrices(n) + elementary_generators(n)
+
+    def element():
+        g = rng.choice(pool) if rng.random() < 0.7 else random_gl_element(rng, n, 3)
+        return reduce(g, m)
+
+    gens = [element() for _ in range(draw(st.integers(0, 3)))]
+    if gens and draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), gens[0])
+    return n, m, gens, element(), draw(st.sampled_from([1, 7, 300, 3000]))
+
+
+def _both(compiled, reference):
+    """The result of each call, or the text and partial size of its
+    ResourceError, asserted equal."""
+    outcomes = []
+    for call in (compiled, reference):
+        try:
+            outcomes.append(call())
+        except ResourceError as exc:
+            outcomes.append((str(exc), exc.partial_size))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_closure_cases())
+@example((2, 7, [reduce(U, 7), reduce(L, 7)], reduce(U, 7), 3000))
+@example((5, 2**64 + 13, [], reduce(IntegerMatrix.identity(5), 2**64 + 13), 1))
+def test_compiled_closures_equal_the_reference_loop(case):
+    n, m, gens, rep, cap = case
+    eye = ModMatrix.identity(n, m).entries
+    outcome = _both(
+        lambda: generate(gens, cap, n=n, m=m).elements,
+        lambda: reference_closure(eye, [linear_map(_right_forms(t), m) for t in gens], cap,
+                                  "generating subgroup", key=functools.partial(_pack, m=m))[0],
+    )
+    if isinstance(outcome, tuple):
+        assert outcome == (f"element budget {cap} exceeded while generating subgroup", cap + 1)
+    conjugations = [linear_map(forms, m) for forms in _conjugation_forms(n, m)]
+    outcome = _both(
+        lambda: _gl_conjugations(n, m)(rep.entries, cap, "testing"),
+        lambda: reference_closure(rep.entries, conjugations, cap, "testing"),
+    )
+    if isinstance(outcome[0], str):
+        assert outcome == (f"element budget {cap} exceeded while testing", cap + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_closure_cases(), st.randoms(use_true_random=False))
+def test_compiled_closures_stop_at_the_first_element_in_stop(case, rng):
+    # a start in stop is returned alone; a hit returns a partial closure
+    # holding it, inside the whole one and equal to the reference's
+    n, m, gens, rep, _ = case
+    cap = 3000
+    image = _image_closure(n, m, tuple(dict.fromkeys(gens)))
+    classes = _gl_conjugations(n, m)
+    eye = ModMatrix.identity(n, m).entries
+    pack = functools.partial(_pack, m=m)
+    assert image(eye, cap, "testing", frozenset([eye])) == ({pack(eye)}, True)
+    assert classes(rep.entries, cap, "testing", frozenset([rep.entries])) == ({rep.entries}, True)
+    for closure, start, key, maps in (
+        (image, eye, pack, [linear_map(_right_forms(t), m) for t in gens]),
+        (classes, rep.entries, None, [linear_map(f, m) for f in _conjugation_forms(n, m)]),
+    ):
+        try:
+            whole, stopped = closure(start, cap, "testing")
+        except ResourceError:
+            assume(False)
+        assert not stopped
+        elements = [x if key is None else _unpack(x, n, m) for x in sorted(whole)]
+        stop = frozenset(rng.sample(elements, min(3, len(elements)))) - {start}
+        partial, hit = closure(start, cap, "testing", stop)
+        assert (partial, hit) == reference_closure(start, maps, cap, "testing", stop, key)
+        assert hit is bool(stop) and partial <= whole
+        if hit:  # exactly one element of stop is reached, the last one added
+            assert sum((x if key is None else key(x)) in partial for x in stop) == 1
+        assert closure(start, cap, "testing", frozenset()) == (whole, False)
 
 
 def _tree_generators(n):
@@ -479,7 +575,7 @@ def test_one_conjugation_per_unit_generator_beside_the_transvection():
     for n, m in itertools.product([1, 2, 3, 5], [2, 3, 4, 7, 8, 15, 24, 105]):
         units = len(unit_group_generators(m))
         expected = units if n == 1 else 1 + max(1, units)
-        assert len(_gl_conjugations(n, m)) == expected, (n, m)
+        assert len(_conjugation_forms(n, m)) == expected, (n, m)
 
 
 def test_gl_order_against_enumeration():
@@ -543,16 +639,29 @@ def test_conjugation_maps_match_matrix_conjugation(case):
     except PreconditionError:
         assume(False)
     ts = _gl_generators(n, m)
-    maps = _gl_conjugations(n, m)
+    maps = _conjugation_forms(n, m)
     assert len(maps) == len(ts)
-    for conjugate, t in zip(maps, ts):
-        assert conjugate(x.entries) == (t.inverse() * x * t).entries
+    for forms, t in zip(maps, ts):
+        y = (t.inverse() * x * t).entries
+        assert linear_map(forms, m)(x.entries) == y
+        # compiled alone, the map's first new element is its one step
+        closure = _compile_closure([forms], n, m, False)
+        assert closure(x.entries, 3, "testing", {y}) == ({x.entries, y}, True)
 
 
-def test_conjugation_maps_are_compiled_once_per_n_and_m():
-    maps = _gl_conjugations(3, 5)
-    assert isinstance(maps, tuple)
-    assert _gl_conjugations(3, 5) is maps
+def test_conjugation_maps_are_compiled_once_per_n_and_m(monkeypatch):
+    closure = _gl_conjugations(3, 5)
+    assert callable(closure)
+    assert _gl_conjugations(3, 5) is closure
+    compiled = []
+    compile_closure = modgrp._compile_closure
+    monkeypatch.setattr(modgrp, "_compile_closure",
+                        lambda maps, n, m, packed: compiled.append((n, m, packed))
+                        or compile_closure(maps, n, m, packed))
+    modgrp._gl_conjugations.cache_clear()
+    # the transvections of GL(3, F_q) number (q^3 - 1)(q + 1)
+    assert [conj_class(reduce(E12_3, m)).size for m in (5, 7, 5, 7)] == [744, 2736, 744, 2736]
+    assert compiled == [(3, 5, False), (3, 7, False)]
 
 
 def test_right_multiplications_are_compiled_once_per_generator():
@@ -560,6 +669,23 @@ def test_right_multiplications_are_compiled_once_per_generator():
     a, b = reduce(E12_3, 5), reduce(IntegerMatrix([[6, 1, 5], [0, 11, 0], [0, -5, 1]]), 5)
     assert a is not b and a == b
     assert _right_multiplication(a) is _right_multiplication(b)
+
+
+def test_image_closures_are_compiled_once_per_generator_tuple(monkeypatch):
+    # generate keys its closure by the distinct generators in their order,
+    # so repeated and separately reduced equal generators share one entry
+    a, b = reduce(E12_3, 5), reduce(IntegerMatrix([[6, 1, 5], [0, 11, 0], [0, -5, 1]]), 5)
+    c = reduce(HEIS[1], 5)
+    compiled = []
+    compile_closure = modgrp._compile_closure
+    monkeypatch.setattr(modgrp, "_compile_closure",
+                        lambda maps, n, m, packed: compiled.append(len(maps))
+                        or compile_closure(maps, n, m, packed))
+    modgrp._image_closure.cache_clear()
+    sizes = [generate(gens).size for gens in ([a, c], [b, c, a], [a, a, c, b], [c, a], [a], [b])]
+    assert sizes == [125, 125, 125, 125, 5, 5]
+    assert compiled == [2, 2, 1]  # (a, c), (c, a) and (a,)
+    assert _image_closure(3, 5, (a, c)) is _image_closure(3, 5, (b, c))
 
 
 class _Wordy(int):
@@ -575,22 +701,29 @@ class _Wordy(int):
 
 
 def test_only_integer_literals_reach_the_compiled_maps():
-    # the uncached builder gets m as an int subclass that prints as a name:
-    # only %d of int(m) may reach the compiled source, or the maps fail
+    # the uncached builders get m as an int subclass that prints as a name:
+    # only %d of int(m) may reach the compiled source, or the closures and
+    # maps fail
     rng = random.Random(0x5EED)
-    for n, m in ((1, 5), (2, 12), (3, 35), (4, 8)):
-        maps = _gl_conjugations.__wrapped__(n, _Wordy(m))
-        ts = _gl_generators(n, m)
-        assert len(maps) == len(ts)
-        for _ in range(5):
+    for n, m in ((1, 5), (2, 12), (3, 35), (4, 8), (5, 3)):
+        closure = _gl_conjugations.__wrapped__(n, _Wordy(m))
+        conjugations = [linear_map(forms, m) for forms in _conjugation_forms(n, m)]
+        for cap in (1, 500):
             x = reduce(random_gl_element(rng, n), m)
-            for conjugate, t in zip(maps, ts):
-                assert conjugate(x.entries) == (t.inverse() * x * t).entries
+            _both(lambda: closure(x.entries, cap, "testing"),
+                  lambda: reference_closure(x.entries, conjugations, cap, "testing"))
         # generator entries and m reach the source of a right multiplication
+        ts = _gl_generators(n, m)
+        eye = ModMatrix.identity(n, m).entries
         for t in ts + [reduce(random_gl_element(rng, n), m)]:
-            multiply = _right_multiplication.__wrapped__(ModMatrix._raw(n, _Wordy(m), t.entries))
+            wordy = ModMatrix._raw(n, _Wordy(m), t.entries)
+            multiply = _right_multiplication.__wrapped__(wordy)
             x = reduce(random_gl_element(rng, n), m)
             assert multiply(x.entries) == (x * t).entries
+            # and of the image closure, packing included
+            _both(lambda: _image_closure.__wrapped__(n, _Wordy(m), (wordy,))(eye, 500, "testing"),
+                  lambda: reference_closure(eye, [lambda y: (ModMatrix._raw(n, m, y) * t).entries],
+                                            500, "testing", key=functools.partial(_pack, m=m)))
 
 
 def test_scalar_class_builds_no_conjugation(monkeypatch):
